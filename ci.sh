@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the workspace. Run from the repository root:
 #
-#   ./ci.sh          # full gate: fmt, build, tests, docs, lints,
-#                    # scenario-regression, bench smoke + bench-regression
+#   ./ci.sh          # full gate: fmt, build, tests, docs, lints, the
+#                    # e2e_bench build + unit tests, scenario-regression,
+#                    # bench smoke + bench-regression
 #   ./ci.sh quick    # skip the release build, the scenario-regression run,
 #                    # and the bench stages (debug tests + docs + lints)
 #
@@ -34,6 +35,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
 echo "==> cargo clippy --all-targets (warnings are errors)"
 cargo clippy --all-targets -- -D warnings
+
+# --- frozen end-to-end benchmark ----------------------------------------------
+# e2e_bench/ is a cargo package of its own that builds against this
+# workspace through path dependencies.  Build it and run its unit tests
+# here, so a library API change that breaks the benchmark fails CI instead
+# of the benchmark run.  The package is frozen: its four uses of the
+# deprecated no-op solver knobs (`with_threads`, `with_batched_evaluation`,
+# `smt_threads`, `smt_batched_evaluation`) print deprecation warnings here.
+echo "==> e2e_bench: build + unit tests against the current library"
+if [ "$quick" != "quick" ]; then
+    cargo test -q --release --manifest-path e2e_bench/Cargo.toml
+else
+    cargo test -q --manifest-path e2e_bench/Cargo.toml
+fi
 
 # --- scenario-regression ----------------------------------------------------
 # Run the batch verifier over the whole scenario registry and diff verdicts
@@ -194,28 +209,6 @@ if [ "$quick" != "quick" ]; then
     cargo run --release -p nncps_bench --bin bench-compare -- \
         --bench "substrate/family_sweep/warm_24" \
         "$bench_json" BENCH_pr5.json
-
-    # PR 6: the batched SIMD evaluation layer.  The per-box speedup gate
-    # holds the 8-lane batched evaluator to >= 1.6x over the one-at-a-time
-    # interpreter *within this run* (recorded headline: 2.0-2.2x; the floor
-    # leaves headroom for host noise), and the median gates catch absolute
-    # regressions of the batched evaluator and the batched solver path
-    # against the BENCH_pr6.json record.
-    echo "==> bench-regression: batched evaluation vs BENCH_pr6.json"
-    CRITERION_JSON="$bench_json" \
-        cargo bench --bench substrate_micro -- "substrate/batched_eval/per_box/"
-    CRITERION_JSON="$bench_json" \
-        cargo bench --bench substrate_micro -- "substrate/batched_eval/decrease_query_50"
-    cargo run --release -p nncps_bench --bin bench-compare -- \
-        "$bench_json" --speedup \
-        "substrate/batched_eval/per_box/scalar" \
-        "substrate/batched_eval/per_box/lanes8" --min 1.6
-    cargo run --release -p nncps_bench --bin bench-compare -- \
-        --bench "substrate/batched_eval/per_box/lanes4" \
-        "$bench_json" BENCH_pr6.json
-    cargo run --release -p nncps_bench --bin bench-compare -- \
-        --bench "substrate/batched_eval/decrease_query_50/batched" \
-        "$bench_json" BENCH_pr6.json
 
     # PR 10: choice-trace-driven respecialization.  The delta step (recorded
     # choice trace + single emit pass over the parent view) is held to >= 2x

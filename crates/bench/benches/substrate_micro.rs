@@ -8,7 +8,7 @@ use nncps_deltasat::{
     contract_clause, CompiledClause, CompiledFormula, Constraint, DeltaSolver, Formula,
 };
 use nncps_dubins::{reference_controller, ErrorDynamics};
-use nncps_expr::{AllocatedTape, BatchScratch, Expr, Tape, DEFAULT_REGISTERS};
+use nncps_expr::{Expr, Tape};
 use nncps_interval::IntervalBox;
 use nncps_lp::{Comparison, LpProblem};
 use nncps_sim::{Integrator, Simulator};
@@ -80,31 +80,6 @@ fn deltasat_bench(c: &mut Criterion) {
         let solver = DeltaSolver::new(1e-4);
         b.iter(|| solver.solve(&unsat, &domain));
     });
-
-    // The paper-style decrease query (below, width 50) with the box stack
-    // worked in parallel batches: UNSAT queries must visit the whole search
-    // tree, so they scale with the worker-thread count on multi-core hosts
-    // (δ-SAT queries return at the first witness and benefit less).
-    {
-        let dynamics = ErrorDynamics::new(reference_controller(50), 1.0);
-        let field = dynamics.symbolic_vector_field();
-        let w =
-            (x.clone().powi(2) * 0.02 + (x.clone() * y.clone()) * 0.01 + y.clone().powi(2) * 0.13)
-                .simplified();
-        let lie = (w.differentiate(0) * field[0].clone() + w.differentiate(1) * field[1].clone())
-            .simplified();
-        let query = Formula::atom(Constraint::ge(lie, -1e-6));
-        for &threads in &[1usize, 2, 4] {
-            group.bench_with_input(
-                BenchmarkId::new("decrease_query_50_threads", threads),
-                &threads,
-                |b, &threads| {
-                    let solver = DeltaSolver::new(1e-4).with_threads(threads);
-                    b.iter(|| solver.solve(&query, &domain));
-                },
-            );
-        }
-    }
 
     // The paper-style decrease query for controllers of increasing width.
     for width in [10usize, 50] {
@@ -507,123 +482,6 @@ fn choice_spec_bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// Microbenches of the batched SIMD evaluation layer: per-box cost of the
-/// one-at-a-time tape interpreter against 4- and 8-lane batches over the
-/// register-allocated tape (the ≥2× headline this PR claims), and the
-/// end-to-end effect of batched sibling evaluation on the headline solver
-/// query and the warm-start family sweep.
-fn batched_eval_bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate/batched_eval");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(3));
-
-    let domain = IntervalBox::from_bounds(&[(-5.0, 5.0), (-1.6, 1.6)]);
-    // Eight sibling sub-boxes, bisection-style — the box population the
-    // δ-SAT search actually evaluates.
-    let boxes: Vec<IntervalBox> = (0..8)
-        .map(|k| {
-            let bounds: Vec<(f64, f64)> = domain
-                .intervals()
-                .iter()
-                .enumerate()
-                .map(|(d, iv)| {
-                    let step = iv.width() / 8.0;
-                    let lo = iv.lo() + step * (((k + d) % 8) as f64);
-                    (lo, lo + step)
-                })
-                .collect();
-            IntervalBox::from_bounds(&bounds)
-        })
-        .collect();
-    let lanes: Vec<&IntervalBox> = boxes.iter().collect();
-
-    // Per-box cost on two controller families: the clamped (`min`/`max`
-    // affine) width-50 controller, where instruction dispatch dominates and
-    // batching amortises it, and the tanh width-50 controller, where the
-    // transcendental kernels dominate per lane and bound the gain.  All
-    // variants evaluate the same eight boxes per iteration, so the medians
-    // are directly comparable per box; ci.sh gates the clamped lanes4
-    // variant at >= 2x over scalar.
-    for (label, expr) in [
-        ("per_box", clamped_lie_derivative(50)),
-        ("per_box_tanh", lie_derivative(50)),
-    ] {
-        let tape = Tape::compile(&expr);
-        let alloc = AllocatedTape::from_tape(&tape, DEFAULT_REGISTERS);
-        group.bench_function(format!("{label}/scalar"), |b| {
-            let mut slots = Vec::new();
-            b.iter(|| {
-                for region in &boxes {
-                    tape.eval_interval_into(region, &mut slots);
-                    black_box(slots[tape.root_slot(0)]);
-                }
-            });
-        });
-        group.bench_function(format!("{label}/lanes4"), |b| {
-            let mut scratch = BatchScratch::<4>::default();
-            let mut roots = Vec::new();
-            b.iter(|| {
-                for chunk in lanes.chunks(4) {
-                    alloc.eval_interval_batch(&tape, chunk, &mut scratch, &mut roots);
-                    black_box(roots[0]);
-                }
-            });
-        });
-        group.bench_function(format!("{label}/lanes8"), |b| {
-            let mut scratch = BatchScratch::<8>::default();
-            let mut roots = Vec::new();
-            b.iter(|| {
-                alloc.eval_interval_batch(&tape, &lanes, &mut scratch, &mut roots);
-                black_box(roots[0]);
-            });
-        });
-    }
-
-    // The headline decrease query with batched sibling evaluation on
-    // (the default) and off — same search tree, different evaluation cost.
-    let query = Formula::atom(Constraint::ge(lie_derivative(50), -1e-6));
-    let compiled = CompiledFormula::compile(&query);
-    compiled.ensure_gradients();
-    for (name, solver) in [
-        ("decrease_query_50/batched", DeltaSolver::new(1e-4)),
-        (
-            "decrease_query_50/scalar",
-            DeltaSolver::new(1e-4).with_batched_evaluation(false),
-        ),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| solver.solve_compiled(&compiled, &domain));
-        });
-    }
-
-    // The warm-start CI family sweep under batched evaluation (the scenario
-    // configs default `smt_batched_evaluation` on, so this is the sweep
-    // engine's production path; tracked against BENCH_pr6.json).
-    {
-        use nncps_scenarios::{builtin_families, run_sweep, Family, SweepOptions};
-        let family: Vec<Family> = builtin_families()
-            .into_iter()
-            .filter(|f| f.name() == "linear-ci-grid")
-            .collect();
-        assert_eq!(family.len(), 1, "the CI family exists");
-        group.bench_function("family_warm_24", |b| {
-            b.iter(|| {
-                let report = run_sweep(
-                    &family,
-                    &SweepOptions {
-                        threads: 1,
-                        warm_start: true,
-                        ..SweepOptions::default()
-                    },
-                )
-                .expect("the CI family expands");
-                black_box(report.results.len())
-            });
-        });
-    }
-    group.finish();
-}
-
 fn nn_bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/nn");
     for width in [10usize, 100, 1000] {
@@ -795,7 +653,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(8));
     targets = lp_bench, deltasat_bench, tape_vs_tree_bench, specialize_bench,
-        choice_spec_bench, batched_eval_bench, nn_bench, sim_bench,
+        choice_spec_bench, nn_bench, sim_bench,
         family_sweep_bench, govern_bench, serve_bench
 }
 criterion_main!(benches);

@@ -22,8 +22,8 @@
 //! A second mode gates a *speedup within one run* instead of a regression
 //! against a baseline: `bench-compare CURRENT.jsonl --speedup SLOW FAST
 //! [--min RATIO]` fails unless `median(SLOW) / median(FAST) ≥ RATIO`
-//! (default 2).  ci.sh uses it to hold the batched evaluator to its ≥2×
-//! per-box headline against the one-at-a-time interpreter.
+//! (default 2).  ci.sh uses it to hold the choice-trace respecialization
+//! delta step to its ≥2× headline against the full rederivation.
 //!
 //! A third mode gates an *overhead within one run*: `bench-compare
 //! CURRENT.jsonl --overhead BASE CANDIDATE [--max-pct PCT]` fails unless

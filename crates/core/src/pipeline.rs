@@ -67,24 +67,13 @@ pub struct VerificationConfig {
     /// count, so the default (`0`) never affects results.  Ignored
     /// (sequential) when the `parallel` feature is disabled.
     pub threads: usize,
-    /// Worker threads for the δ-SAT searches, passed to
-    /// [`DeltaSolver::with_threads`](nncps_deltasat::DeltaSolver::with_threads)
-    /// (`1` = sequential, `0` = one per available core).
-    ///
-    /// Kept separate from [`VerificationConfig::threads`] and defaulting to
-    /// `1` because the parallel search's δ-SAT *witnesses* are only
-    /// deterministic per thread count: with `0` the counterexamples fed back
-    /// into the LP — and hence the final certificate — could differ between
-    /// machines with different core counts.  Set to `0` (or an explicit
-    /// count) to trade that cross-machine reproducibility for speed.
+    /// No effect; kept only so the frozen benchmark compiles.  The δ-SAT
+    /// search is one sequential loop.
+    #[deprecated(note = "no effect: the δ-SAT search is always sequential")]
     pub smt_threads: usize,
-    /// Batched sibling evaluation in the δ-SAT searches, passed to
-    /// [`DeltaSolver::with_batched_evaluation`](nncps_deltasat::DeltaSolver::with_batched_evaluation).
-    ///
-    /// Bit-invisible (identical verdicts, witnesses, and statistics either
-    /// way — and therefore identical certificates and report fingerprints);
-    /// on by default, off only for differential testing of the batched
-    /// evaluation layer.
+    /// No effect; kept only so the frozen benchmark compiles.  The δ-SAT
+    /// solver has no batched evaluation layer.
+    #[deprecated(note = "no effect: there is no batched evaluation layer")]
     pub smt_batched_evaluation: bool,
 }
 
@@ -223,12 +212,6 @@ impl VerificationConfigBuilder {
         synthesis: SynthesisOptions,
         /// Worker threads for seed-trace simulation (bit-invisible).
         threads: usize,
-        /// Worker threads for the δ-SAT searches (bit-*visible*; see the
-        /// field docs on [`VerificationConfig::smt_threads`]).
-        smt_threads: usize,
-        /// Batched sibling evaluation in the δ-SAT searches
-        /// (bit-invisible).
-        smt_batched_evaluation: bool,
     }
 
     /// Validates and returns the configuration.
@@ -244,6 +227,8 @@ impl VerificationConfigBuilder {
 }
 
 impl Default for VerificationConfig {
+    // Initializing the inert fields is the only place they are named.
+    #[allow(deprecated)]
     fn default() -> Self {
         VerificationConfig {
             num_seed_traces: 20,
@@ -474,8 +459,6 @@ impl Verifier {
         let simulator = Simulator::new(Integrator::RungeKutta4, cfg.sim_dt, cfg.sim_duration);
         let solver = DeltaSolver::new(cfg.delta)
             .with_max_boxes(cfg.max_smt_boxes)
-            .with_threads(cfg.smt_threads)
-            .with_batched_evaluation(cfg.smt_batched_evaluation)
             .with_budget(budget.clone());
         let queries = QueryBuilder::new(system, cfg.gamma);
         let mut synthesizer = CandidateSynthesizer::with_options(spec.clone(), cfg.synthesis);
@@ -895,16 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_smt_threads_still_certify() {
-        let config = VerificationConfig {
-            smt_threads: 2,
-            ..VerificationConfig::default()
-        };
-        let outcome = verify_with(&stable_linear_system(), config, Budget::unlimited());
-        assert!(outcome.is_certified(), "outcome: {outcome}");
-    }
-
-    #[test]
     fn runs_are_reproducible_for_a_fixed_seed() {
         let a = verify_plain(&stable_linear_system());
         let b = verify_plain(&stable_linear_system());
@@ -982,26 +955,38 @@ mod tests {
     }
 
     #[test]
-    fn fuel_exhaustion_is_smt_thread_invariant() {
-        // A fuel-exhausted run must report the same verdict, reason, solver
-        // statistics, and fuel consumption at every solver thread count —
-        // fuel forces the deterministic sequential search path.
-        let mut observed = Vec::new();
-        for smt_threads in [1usize, 2, 4] {
-            let config = VerificationConfig {
-                smt_threads,
-                ..VerificationConfig::default()
-            };
-            let budget = Budget::unlimited().with_fuel(200);
-            let outcome = verify_with(&stable_linear_system(), config, budget.clone());
-            let VerificationOutcome::Inconclusive { reason, stats } = outcome else {
-                panic!("fuel-starved run must be inconclusive");
-            };
-            observed.push((reason, stats.exhaustion, stats.solver, budget.fuel_used()));
-        }
-        assert_eq!(observed[0], observed[1]);
-        assert_eq!(observed[1], observed[2]);
-        assert_eq!(observed[0].1, Some(ExhaustionReason::Fuel(200)));
+    fn fuel_exhaustion_point_is_pinned() {
+        // A fuel-exhausted run stops at one exact point of the sequential
+        // δ-SAT search.  The expected search statistics and fuel use were
+        // recorded when the solver still had a batched sibling evaluator
+        // with its own fuel watermark; they pin that its removal moved no
+        // exhaustion point.
+        let budget = Budget::unlimited().with_fuel(200);
+        let outcome = verify_with(
+            &stable_linear_system(),
+            VerificationConfig::default(),
+            budget.clone(),
+        );
+        let VerificationOutcome::Inconclusive { reason, stats } = outcome else {
+            panic!("fuel-starved run must be inconclusive");
+        };
+        assert_eq!(
+            reason,
+            "decrease check inconclusive: fuel budget of 200 instructions exhausted"
+        );
+        assert_eq!(stats.exhaustion, Some(ExhaustionReason::Fuel(200)));
+        let solver = stats.solver;
+        assert_eq!(
+            (
+                solver.boxes_explored,
+                solver.boxes_pruned,
+                solver.bisections,
+                solver.clauses_examined,
+                solver.instructions_executed,
+            ),
+            (7, 1, 6, 4, 204)
+        );
+        assert_eq!(budget.fuel_used(), 204);
     }
 
     #[test]
@@ -1030,7 +1015,6 @@ mod tests {
         let built = VerificationConfig::builder()
             .num_seed_traces(8)
             .seed(99)
-            .smt_threads(2)
             .build()
             .unwrap();
         assert_eq!(built.num_seed_traces, 8);

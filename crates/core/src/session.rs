@@ -20,9 +20,10 @@
 //! The outcome memo is keyed by [`VerificationRequest::fingerprint`], which
 //! covers every bit-relevant input of a run: the vector-field DAG, the full
 //! safety specification, every result-affecting configuration field, and
-//! the budget's deterministic fuel state.  Bit-*invisible* knobs —
-//! simulation worker threads, batched sibling evaluation — are deliberately
-//! excluded, so runs that provably produce identical bits share one entry.
+//! the budget's deterministic fuel state.  The bit-*invisible* simulation
+//! worker-thread count and the inert `smt_threads`/`smt_batched_evaluation`
+//! fields are deliberately excluded, so runs that provably produce
+//! identical bits share one entry.
 //! Requests whose budget can trip non-deterministically (wall-clock
 //! deadline, cancellation, forced exhaustion) are never memoized, and
 //! outcomes that stopped for a non-deterministic reason are never stored.
@@ -188,9 +189,10 @@ impl<'a> VerificationRequest<'a> {
             }
             hasher.write_f64(halfspace.offset());
         }
-        // Bit-relevant configuration.  `threads` and
-        // `smt_batched_evaluation` are excluded: both are documented (and
-        // differentially tested) as bit-invisible.
+        // Bit-relevant configuration.  `threads` is excluded: it is
+        // documented (and differentially tested) as bit-invisible.  The
+        // inert `smt_threads`/`smt_batched_evaluation` fields have no
+        // effect at all.
         let cfg = &self.config;
         hasher.write_usize(cfg.num_seed_traces);
         hasher.write_f64(cfg.sim_dt);
@@ -202,7 +204,6 @@ impl<'a> VerificationRequest<'a> {
         hasher.write_usize(cfg.max_level_iterations);
         hasher.write_usize(cfg.max_samples_per_trace);
         hasher.write_u64(cfg.seed);
-        hasher.write_usize(cfg.smt_threads);
         hasher.write_f64(cfg.synthesis.positivity_margin);
         hasher.write_f64(cfg.synthesis.decrease_margin);
         hasher.write_f64(cfg.synthesis.coefficient_bound);
@@ -609,7 +610,6 @@ mod tests {
         let base = VerificationRequest::over(&system);
         let mut threads_differ = base.config().clone();
         threads_differ.threads = 7;
-        threads_differ.smt_batched_evaluation = false;
         assert_eq!(
             base.fingerprint(),
             VerificationRequest::over(&system)
@@ -647,6 +647,25 @@ mod tests {
         let first = session.verify(&VerificationRequest::over(&system));
         let second = session.verify(&VerificationRequest::over(&system));
         assert!(first.is_certified());
+        assert_outcomes_bit_identical(&first, &second);
+        let stats = session.stats();
+        assert_eq!((stats.outcome_hits, stats.outcome_misses), (1, 1));
+    }
+
+    #[test]
+    #[allow(deprecated)]
+    fn inert_solver_knobs_share_one_memo_entry() {
+        // `smt_threads` and `smt_batched_evaluation` have no effect, so two
+        // requests differing only in them name one outcome.
+        let system = stable_linear_system();
+        let session = VerificationSession::new();
+        let first = session.verify(&VerificationRequest::over(&system));
+        let inert = VerificationConfig {
+            smt_threads: 4,
+            smt_batched_evaluation: false,
+            ..VerificationConfig::default()
+        };
+        let second = session.verify(&VerificationRequest::over(&system).with_config(inert));
         assert_outcomes_bit_identical(&first, &second);
         let stats = session.stats();
         assert_eq!((stats.outcome_hits, stats.outcome_misses), (1, 1));

@@ -47,10 +47,7 @@
 
 use std::sync::OnceLock;
 
-use nncps_expr::{
-    AllocatedTape, Choice, ChoiceAnalysis, Expr, SpecializeScratch, Tape, TapeInstr, TapeView,
-    DEFAULT_REGISTERS,
-};
+use nncps_expr::{Choice, ChoiceAnalysis, Expr, SpecializeScratch, Tape, TapeInstr, TapeView};
 use nncps_interval::{Interval, IntervalBox};
 
 use crate::contractor::{invert_binary, invert_powi, invert_unary, total_width};
@@ -104,15 +101,9 @@ pub struct ClauseScratch {
     /// propagation pass share a single incrementally grown sweep, reset
     /// whenever any variable domain changes.
     valid: usize,
-    /// How many leading program slots have been *charged* to
-    /// `instructions_executed` for the current logical box.  Decoupled from
-    /// `valid` so a batch-prefilled sweep is charged exactly what the
-    /// scalar evaluation of the same box would have been charged — fuel
-    /// exhaustion points stay evaluator-invariant.
-    charged: usize,
     /// Choice trace of the current forward sweep: per choice-site id of the
     /// parent tape, the `min`/`max`/`abs` resolution last observed
-    /// (recorded at zero marginal cost by the recording sweeps; consumed by
+    /// (recorded at zero marginal cost by the recording sweep; consumed by
     /// [`CompiledClause::respecialize`]).
     choices: Vec<Choice>,
     /// Backward work stack of `(slot, required)` pairs.
@@ -138,26 +129,6 @@ pub struct ClauseScratch {
 }
 
 impl ClauseScratch {
-    /// Installs a recorded forward sweep as the valid sweep cache (the
-    /// solver's batched sibling evaluation recorded `trace` over exactly
-    /// the region about to be propagated), returning the previous buffer
-    /// for recycling.  Pair with [`CompiledClause::propagate_prefilled`].
-    pub(crate) fn install_sweep(&mut self, trace: Vec<Interval>) -> Vec<Interval> {
-        self.valid = trace.len();
-        // The prefill is free only in *evaluation*: fuel charging restarts
-        // so the box pays the same scalar-equivalent instruction count it
-        // would have paid growing the sweep itself.
-        self.charged = 0;
-        std::mem::replace(&mut self.slots, trace)
-    }
-
-    /// Installs a recorded choice trace alongside a prefilled sweep (the
-    /// batched sibling evaluation recorded it for exactly this region),
-    /// returning the previous buffer for recycling.
-    pub(crate) fn install_choices(&mut self, choices: Vec<Choice>) -> Vec<Choice> {
-        std::mem::replace(&mut self.choices, choices)
-    }
-
     /// Moves the instrumentation counters out of the scratch (resetting
     /// them), so the solver can fold them into its statistics.
     pub(crate) fn take_counters(&mut self) -> (usize, usize, usize) {
@@ -321,14 +292,10 @@ pub struct CompiledClause {
     /// lowering happen on first use, or eagerly via
     /// [`CompiledClause::ensure_gradients`]).
     grad: OnceLock<GradientBundle>,
-    /// Lazily register-allocated form of the full tape (built on the first
-    /// batched sibling sweep; shared by every consumer of this clause,
-    /// including all family-sweep members holding the compiled formula
-    /// through the warm-start cache).
-    alloc: OnceLock<AllocatedTape>,
     /// Lazily computed choice-group partition of the tape (one backward
-    /// pass; built on the first view respecialization and shared exactly
-    /// like `alloc`).
+    /// pass; built on the first view respecialization and shared by every
+    /// consumer of this clause, including all family-sweep members holding
+    /// the compiled formula through the warm-start cache).
     analysis: OnceLock<ChoiceAnalysis>,
 }
 
@@ -358,7 +325,6 @@ impl CompiledClause {
             has_choices,
             clip_free,
             grad: OnceLock::new(),
-            alloc: OnceLock::new(),
             analysis: OnceLock::new(),
         }
     }
@@ -404,15 +370,6 @@ impl CompiledClause {
     /// ```
     pub fn ensure_gradients(&self) {
         let _ = self.gradient_bundle();
-    }
-
-    /// The register-allocated form of the full tape, built once on first
-    /// use (the solver's batched sibling sweeps run depth-0 boxes through
-    /// it; specialized views get their own allocations in the solver's
-    /// view stack).
-    pub(crate) fn allocated_tape(&self) -> &AllocatedTape {
-        self.alloc
-            .get_or_init(|| AllocatedTape::from_tape(&self.tape, DEFAULT_REGISTERS))
     }
 
     /// The memoized choice-group partition of the tape (see
@@ -468,7 +425,6 @@ impl CompiledClause {
         // Standalone entry point: the caller may have changed the region
         // since the last call, so the sweep cache starts cold.
         scratch.valid = 0;
-        scratch.charged = 0;
         self.classify(self.program(view), region, scratch)
     }
 
@@ -512,7 +468,9 @@ impl CompiledClause {
     /// tracks how much of the sweep matches the current region bits; callers
     /// reset it to `0` whenever the region (or the program) may have
     /// changed.  Reused values are bit-identical by construction — they were
-    /// computed on identical inputs.
+    /// computed on identical inputs.  Only the evaluated suffix is charged
+    /// to `instructions_executed` (the fuel counter), so fuel is exactly
+    /// the instructions executed per logical box.
     fn ensure_prefix(
         prog: Prog<'_>,
         region: &IntervalBox,
@@ -536,15 +494,8 @@ impl CompiledClause {
                 prog.extend(region, &mut slots, count);
             }
             scratch.slots = slots;
+            scratch.instructions_executed += count - scratch.valid;
             scratch.valid = count;
-        }
-        // Fuel is charged against the *logical* sweep length, independent of
-        // whether the slots came from this call, a cached prefix, or a
-        // batch-recorded prefill — so exhaustion points are identical across
-        // evaluators.
-        if count > scratch.charged {
-            scratch.instructions_executed += count - scratch.charged;
-            scratch.charged = count;
         }
     }
 
@@ -579,7 +530,6 @@ impl CompiledClause {
         scratch: &mut ClauseScratch,
     ) -> bool {
         scratch.valid = 0;
-        scratch.charged = 0;
         let clip_free = view.is_none().then_some(self.clip_free.as_slice());
         self.contract_inner(self.program(view), clip_free, region, rounds, scratch)
     }
@@ -623,40 +573,6 @@ impl CompiledClause {
     ) -> ClauseFeasibility {
         let prog = self.program(view);
         scratch.valid = 0;
-        scratch.charged = 0;
-        if !self.contract_inner(prog, clip_free, region, rounds, scratch) || region.is_empty() {
-            return ClauseFeasibility::Violated;
-        }
-        self.classify(prog, region, scratch)
-    }
-
-    /// [`CompiledClause::propagate_flagged`] *without* invalidating the
-    /// shared forward sweep: the caller has prefilled `scratch.slots` /
-    /// `scratch.valid` with a recorded sweep of the active program over
-    /// exactly this `region` (the solver's batched sibling evaluation).
-    ///
-    /// Because the recorded lanes are bitwise identical to the sweep
-    /// [`CompiledClause::propagate_flagged`] would have grown itself (the
-    /// batched evaluator's per-lane bit-identity), contraction and
-    /// classification take identical decisions and the result is
-    /// bit-identical to the unprefilled call — the cached prefix merely
-    /// skips recomputation, exactly like a fixpointed revise does.
-    pub(crate) fn propagate_prefilled(
-        &self,
-        view: Option<&TapeView>,
-        view_clip_free: Option<&[bool]>,
-        region: &mut IntervalBox,
-        rounds: usize,
-        scratch: &mut ClauseScratch,
-    ) -> ClauseFeasibility {
-        // Same flag resolution as `propagate`/`propagate_flagged`: views
-        // take the caller-derived flags, the full tape uses its own.
-        let clip_free = match view {
-            Some(_) => view_clip_free,
-            None => Some(self.clip_free.as_slice()),
-        };
-        let prog = self.program(view);
-        debug_assert!(scratch.valid <= prog.len());
         if !self.contract_inner(prog, clip_free, region, rounds, scratch) || region.is_empty() {
             return ClauseFeasibility::Violated;
         }
@@ -696,10 +612,7 @@ impl CompiledClause {
                 match self.revise_backward(prog, root, atom.admissible, region, scratch, clip_free)
                 {
                     Revised::Infeasible => return false,
-                    Revised::Narrowed => {
-                        scratch.valid = 0;
-                        scratch.charged = 0;
-                    }
+                    Revised::Narrowed => scratch.valid = 0,
                     Revised::Unchanged => {}
                 }
             }

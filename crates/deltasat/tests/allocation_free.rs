@@ -11,10 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nncps_deltasat::{ClauseFeasibility, CompiledClause, Constraint, CutOutcome};
-use nncps_expr::{
-    AllocatedTape, BatchScratch, Expr, SpecializeScratch, TapeView, DEFAULT_REGISTERS,
-};
-use nncps_interval::{Interval, IntervalBox};
+use nncps_expr::{Expr, SpecializeScratch, TapeView};
+use nncps_interval::IntervalBox;
 
 struct CountingAllocator;
 
@@ -138,99 +136,7 @@ fn steady_state_box_loop_does_not_allocate() {
     );
 }
 
-/// The batched split loop: every bisection runs both children through one
-/// two-lane recording sweep of the register-allocated tape, the recorded
-/// traces ride the work stack, and popped traces recycle through a pool —
-/// exactly the solver's batched-evaluation steady state.  Once the batch
-/// scratch (register file + spill arena) and the trace pool have grown to
-/// their high-water marks, the loop must not allocate.
-#[test]
-fn batched_sibling_evaluation_steady_state_does_not_allocate() {
-    let _serial = serialize();
-    let x = Expr::var(0);
-    let y = Expr::var(1);
-    let shared = (x.clone() * 0.7 + y.clone()).tanh();
-    let clause = CompiledClause::compile(&[
-        Constraint::ge(shared.clone() * x.clone() + y.clone().powi(2), -0.5),
-        Constraint::le(shared * 2.0 + x.clone().sin(), 1.5),
-    ]);
-    let alloc = AllocatedTape::from_tape(clause.tape(), DEFAULT_REGISTERS);
-    let mut scratch = clause.scratch();
-    let mut batch_scratch: BatchScratch<2> = BatchScratch::new();
-    let domain = IntervalBox::from_bounds(&[(-2.0, 2.0), (-2.0, 2.0)]);
-
-    // The solver's batched stack shape: each entry may carry the sweep trace
-    // its parent's split recorded for it.
-    let mut stack: Vec<(IntervalBox, Option<Vec<Interval>>)> = vec![(domain.clone(), None)];
-    let mut pool: Vec<IntervalBox> = Vec::new();
-    let mut trace_pool: Vec<Vec<Interval>> = Vec::new();
-    let mut run = |stack: &mut Vec<(IntervalBox, Option<Vec<Interval>>)>,
-                   pool: &mut Vec<IntervalBox>,
-                   trace_pool: &mut Vec<Vec<Interval>>,
-                   boxes: usize| {
-        let mut explored = 0;
-        while let Some((mut region, trace)) = stack.pop() {
-            explored += 1;
-            if let Some(trace) = trace {
-                trace_pool.push(trace);
-            }
-            let feasible = clause.contract(&mut region, 4, &mut scratch);
-            let retire = !feasible
-                || region.is_empty()
-                || clause.feasibility(&region, &mut scratch) == ClauseFeasibility::Violated
-                || region.max_width() <= 1e-4;
-            if retire {
-                pool.push(region);
-            } else {
-                let mut right = pool.pop().unwrap_or_default();
-                region.split_widest_into(&mut right);
-                let mut left_trace = trace_pool.pop().unwrap_or_default();
-                let mut right_trace = trace_pool.pop().unwrap_or_default();
-                alloc.eval_interval_batch_recording(
-                    clause.tape(),
-                    &[&region, &right],
-                    &mut batch_scratch,
-                    &mut [&mut left_trace, &mut right_trace],
-                    // This clause has no `min`/`max`/`abs` sites, so there is
-                    // no choice trace to record.
-                    &mut [],
-                );
-                stack.push((right, Some(right_trace)));
-                stack.push((region, Some(left_trace)));
-            }
-            if explored >= boxes {
-                break;
-            }
-        }
-    };
-
-    // Warm-up: grow the batch scratch, the trace pool, the stack, and the
-    // box pool to the workload's high-water marks.
-    run(&mut stack, &mut pool, &mut trace_pool, 500);
-    assert!(!stack.is_empty(), "warm-up must leave work pending");
-
-    // Each attempt resets to the initial search state without freeing
-    // anything, then re-runs the identical workload.
-    assert_steady_state_allocation_free(
-        || {
-            while let Some((region, trace)) = stack.pop() {
-                pool.push(region);
-                if let Some(trace) = trace {
-                    trace_pool.push(trace);
-                }
-            }
-            let mut seed = pool.pop().expect("warm-up created boxes");
-            seed.clone_from(&domain);
-            stack.push((seed, None));
-            let before = allocations();
-            run(&mut stack, &mut pool, &mut trace_pool, 500);
-            allocations() - before
-        },
-        "the batched sibling-evaluation steady state",
-    );
-}
-
-/// The PR-4 loop: region specialization (per-depth view derivation over
+/// The specialized loop: region specialization (per-depth view derivation over
 /// pooled `TapeView`s) plus derivative-guided cuts must also run
 /// allocation-free once warm.  The gradient bundle compiles lazily on first
 /// use, so `ensure_gradients` is part of the warm-up.

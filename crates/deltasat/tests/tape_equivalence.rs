@@ -382,8 +382,8 @@ proptest! {
     }
 
     /// Choice-heavy random DAGs (about half the nodes are `min`/`max`/`abs`
-    /// sites) solved with the full acceleration stack — compiled tapes,
-    /// choice-trace specialization, batched sibling sweeps — must explore
+    /// sites) solved with the full acceleration stack — compiled tapes and
+    /// choice-trace specialization — must explore
     /// the identical box tree and return bitwise-identical witnesses as the
     /// tree-walking reference evaluator.
     #[test]

@@ -15,7 +15,7 @@ use crate::{BinaryOp, UnaryOp};
 /// and reused in both the dynamics and its gradient. The atomically
 /// reference-counted nodes make expressions `Send + Sync`, so dynamics and
 /// constraints built from them can be evaluated from worker threads (the
-/// `parallel` features of the simulator and δ-SAT solver rely on this).
+/// simulator's `parallel` feature and the scenario runner rely on this).
 ///
 /// # Examples
 ///

@@ -165,7 +165,7 @@ impl SpecializeScratch {
 /// the same set of choice conditions, plus per-slot root reachability.
 ///
 /// Computed once per tape ([`ChoiceAnalysis::analyze`]; the δ-SAT layer
-/// memoizes it next to its register allocation) and consulted by
+/// memoizes it per compiled clause) and consulted by
 /// [`TapeView::respecialize_into`] so a decided choice maps to its dead
 /// instruction group without re-walking the tape.
 ///
@@ -403,19 +403,6 @@ impl TapeView {
             choice_state: vec![Choice::Both; tape.num_choices()],
             open_choices: (0..tape.num_choices() as u16).collect(),
         }
-    }
-
-    /// Raw program columns for crate-internal passes (register allocation
-    /// walks `ops`/`lhs`/`rhs`/`roots` directly; dropped roots carry the
-    /// `DROPPED` sentinel).
-    pub(crate) fn raw_parts(&self) -> (&[OpCode], &[u32], &[u32], &[u32]) {
-        (&self.ops, &self.lhs, &self.rhs, &self.roots)
-    }
-
-    /// Per-view-slot choice ids (original tape numbering; `NO_CHOICE` for
-    /// non-sites), for crate-internal recording evaluators.
-    pub(crate) fn choice_id_column(&self) -> &[u16] {
-        &self.choice_ids
     }
 
     /// Number of instructions in the view.

@@ -13,15 +13,10 @@
 //!
 //! * **Fuel** is counted in *tape instructions executed* (the δ-SAT
 //!   solver's `instructions_executed` counter), a pure function of the
-//!   search tree.  The count is **per logical box**, in scalar-equivalent
-//!   instructions: a sweep recorded ahead of time by the batched sibling
-//!   evaluator is charged lazily, when (and only when) the box it belongs
-//!   to is actually processed — so the counter, and therefore the fuel
-//!   truncation point, is invariant across evaluation backends (batched or
-//!   scalar) as well as machines, OS schedulers, and thread counts.
-//!   Fuel-governed solves force the sequential search path so the
-//!   truncation point is unique.  Fuel exhaustion may therefore appear in
-//!   pinned deterministic reports.
+//!   search tree.  The solver's search is a single sequential depth-first
+//!   loop, so the counter, and therefore the fuel truncation point, is
+//!   invariant across machines, OS schedulers, and thread counts.  Fuel
+//!   exhaustion may therefore appear in pinned deterministic reports.
 //! * **Deadline** is wall-clock and inherently non-deterministic; it
 //!   exists for service deployments and is excluded from pinned reports.
 //! * **Cancellation** is an external signal (also non-deterministic).
@@ -170,12 +165,6 @@ impl Budget {
         }
     }
 
-    /// Whether a fuel limit is set.  Fuel-governed δ-SAT solves force the
-    /// sequential search path so the truncation point is deterministic.
-    pub fn has_fuel_limit(&self) -> bool {
-        self.shared.fuel_limit.is_some()
-    }
-
     /// Whether a wall-clock deadline is set.  Deadline-governed runs are
     /// non-deterministic, so memoization layers refuse to cache them.
     pub fn has_deadline(&self) -> bool {
@@ -265,14 +254,12 @@ mod tests {
         let budget = Budget::unlimited();
         budget.charge_fuel(u64::MAX / 2);
         assert_eq!(budget.check(), None);
-        assert!(!budget.has_fuel_limit());
         assert_eq!(budget.fuel_limit(), None);
     }
 
     #[test]
     fn fuel_limit_trips_at_the_boundary() {
         let budget = Budget::unlimited().with_fuel(100);
-        assert!(budget.has_fuel_limit());
         assert_eq!(budget.fuel_limit(), Some(100));
         budget.charge_fuel(99);
         assert_eq!(budget.check(), None);

@@ -2,8 +2,8 @@
 //!
 //! The workspace builds without registry access, so instead of `rayon` the
 //! data-parallel layers of the simulator (batch trace collection), the
-//! CMA-ES optimizer (population evaluation), and the δ-SAT solver (box-stack
-//! work queue) share this small work-claiming loop on `std::thread::scope`:
+//! CMA-ES optimizer (population evaluation), and the scenario runner share
+//! this small work-claiming loop on `std::thread::scope`:
 //! workers atomically claim item indices, compute into thread-local buffers,
 //! and the results are stitched back together in input order, so the output
 //! is identical to the sequential map regardless of scheduling.
@@ -166,49 +166,9 @@ where
     parallel_map(items, threads, |item| catch_crash(|| f(item)))
 }
 
-/// Like [`parallel_map`], but consumes the items, so workers move each value
-/// into `f` instead of borrowing it — use when cloning the items would be
-/// wasteful (e.g. the δ-SAT solver's box batches).
-pub fn parallel_map_owned<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = effective_threads(threads).min(items.len());
-    if !cfg!(feature = "threads") || threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<std::sync::Mutex<Option<T>>> = items
-        .into_iter()
-        .map(|item| std::sync::Mutex::new(Some(item)))
-        .collect();
-    let results = parallel_map(&slots, threads, |slot| {
-        let item = slot
-            .lock()
-            .expect("no worker panicked holding an item slot")
-            .take()
-            .expect("every index is claimed exactly once");
-        f(item)
-    });
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn owned_map_matches_sequential_and_moves_items() {
-        let items: Vec<String> = (0..37).map(|i| format!("item-{i}")).collect();
-        let expected: Vec<usize> = items.iter().map(|s| s.len()).collect();
-        for threads in [0, 1, 3] {
-            assert_eq!(
-                parallel_map_owned(items.clone(), threads, |s| s.len()),
-                expected
-            );
-        }
-    }
 
     #[test]
     fn matches_sequential_map_in_order() {

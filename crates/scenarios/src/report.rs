@@ -609,9 +609,9 @@ impl FamilyRollup {
 pub struct BatchReport {
     /// Scenario-level worker threads the batch ran with (`0` = one per
     /// core).  Serialized only in the timing-bearing report form:
-    /// scenario-level parallelism cannot affect results (unlike δ-SAT
-    /// internal parallelism, which each scenario pins via `smt_threads`),
-    /// so the deterministic form is byte-identical across thread counts.
+    /// scenario-level parallelism cannot affect results (each scenario's
+    /// δ-SAT search is sequential), so the deterministic form is
+    /// byte-identical across thread counts.
     pub threads: usize,
     /// Per-scenario results, in registry order.
     pub results: Vec<ScenarioResult>,

@@ -24,9 +24,8 @@ pub struct BatchOptions {
     /// sequential).  Scenarios are independent verification problems, so
     /// the batch fans them out through
     /// [`nncps_parallel::parallel_map`]; results keep registry order and
-    /// are bit-identical for every thread count (per-scenario determinism
-    /// is governed by each scenario's own `smt_threads` setting, not by
-    /// this knob).
+    /// are bit-identical for every thread count (each scenario's δ-SAT
+    /// search is sequential, so results never depend on this knob).
     pub threads: usize,
     /// Deterministic per-member fuel limit (tape instructions); `None` =
     /// unlimited.  Each member gets a fresh [`Budget`], so the limit is

@@ -666,7 +666,6 @@ fn config_from_toml(table: &TomlTable) -> Result<VerificationConfig, ManifestErr
             "max_samples_per_trace" => config.max_samples_per_trace = as_count()?,
             "seed" => config.seed = as_count()? as u64,
             "threads" => config.threads = as_count()?,
-            "smt_threads" => config.smt_threads = as_count()?,
             other => return Err(ManifestError::new(format!("unknown config key `{other}`"))),
         }
     }
@@ -761,7 +760,7 @@ mod tests {
             [scenario.config]
             num_seed_traces = 6
             sim_duration = 4.0
-            smt_threads = 1
+            threads = 1
             "#,
         )
         .unwrap();
@@ -771,6 +770,7 @@ mod tests {
         assert_eq!(scenario.expected(), ExpectedVerdict::Certified);
         assert_eq!(scenario.config().num_seed_traces, 6);
         assert_eq!(scenario.config().sim_duration, 4.0);
+        assert_eq!(scenario.config().threads, 1);
         assert_eq!(scenario.plant().kind(), "linear");
         assert_eq!(scenario.build_system().dim(), 2);
         assert_eq!(scenario.description(), "stable linear demo");

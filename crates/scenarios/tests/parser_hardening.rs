@@ -3,7 +3,7 @@
 //! fuzz-ish proptest that round-trips generated manifests.
 
 use nncps_scenarios::toml::{self, TomlValue};
-use nncps_scenarios::Json;
+use nncps_scenarios::{Json, Registry};
 use proptest::prelude::*;
 
 // --- TOML edge cases -------------------------------------------------------
@@ -132,6 +132,34 @@ fn family_axis_tables_nest_after_subtables() {
     );
     assert_eq!(families[1].tables("axis").len(), 1);
     assert_eq!(families[1].tables("axis")[0].get_str("param"), Some("seed"));
+}
+
+#[test]
+fn manifest_rejects_the_removed_smt_threads_key() {
+    // The δ-SAT search has one sequential loop, so `smt_threads` is no
+    // longer a config key: a manifest naming it fails like any other
+    // unknown key instead of being silently ignored.
+    let manifest = r#"
+        [[scenario]]
+        name = "linear-smt-threads"
+        expected = "certified"
+        [scenario.plant]
+        kind = "linear"
+        matrix = [[-1.0, 0.2], [-0.2, -1.0]]
+        [scenario.spec]
+        initial_set = [[-0.5, 0.5], [-0.5, 0.5]]
+        safe_region = [[-3.0, 3.0], [-3.0, 3.0]]
+        [scenario.config]
+        smt_threads = 4
+        "#;
+    let err = Registry::from_toml_str(manifest).unwrap_err();
+    assert!(
+        err.to_string().contains("unknown config key `smt_threads`"),
+        "{err}"
+    );
+    // The same manifest without the key loads.
+    let accepted = manifest.replace("smt_threads = 4", "threads = 1");
+    assert_eq!(Registry::from_toml_str(&accepted).unwrap().len(), 1);
 }
 
 // --- JSON edge cases -------------------------------------------------------

@@ -95,15 +95,19 @@ fn shutdown(addr: &str) {
     request(addr, "{\"op\": \"shutdown\"}", "bye");
 }
 
-fn scratch_store() -> PathBuf {
-    let root = std::env::temp_dir().join(format!("nncps-serve-it-{}", std::process::id()));
+/// A fresh store directory private to one test.  The tests of this file
+/// run concurrently in one process, so the name carries the test's `tag`
+/// as well as the pid: a shared directory would let one test delete the
+/// store another is still warm-starting from.
+fn scratch_store(tag: &str) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("nncps-serve-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     root
 }
 
 #[test]
 fn daemon_reports_match_in_process_sweeps_and_warm_start_from_disk() {
-    let store = scratch_store();
+    let store = scratch_store("sweeps");
     let families: Vec<Family> = builtin_families()
         .into_iter()
         .filter(|f| f.name() == "linear-ci-grid")
@@ -195,7 +199,7 @@ fn client_binary_round_trips_through_the_daemon() {
     // The nncps-batch --connect client: submit through the daemon, write the
     // deterministic report, ask for shutdown, and exit 0 (the grid family's
     // pinned counts hold).
-    let store = scratch_store();
+    let store = scratch_store("client");
     let daemon = spawn_daemon(&store);
     let out =
         std::env::temp_dir().join(format!("nncps-serve-it-client-{}.json", std::process::id()));
