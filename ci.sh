@@ -82,6 +82,10 @@ if [ "$quick" != "quick" ]; then
     cmp "$sweep_a" "$sweep_b" \
         || { echo "family sweep is not deterministic across runs/threads/warm-start"; exit 1; }
     echo "    family sweep byte-identical across warm/cold and 1/2 threads"
+    # Every builtin family (254 members), cold: the run gates on each
+    # family's pinned verdict counts from `builtin_families()`.
+    echo "==> family-sweep: nncps-batch --family all --cold (pinned counts of every family)"
+    cargo run --release --bin nncps-batch -- --family all --quiet --threads 1 --cold
 else
     echo "==> family-sweep: (skipped in quick mode)"
 fi

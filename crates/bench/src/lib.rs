@@ -149,6 +149,25 @@ mod tests {
     }
 
     #[test]
+    fn table1_request_fingerprint_is_pinned() {
+        // The request fingerprint keys the outcome memo and the on-disk
+        // store.  The expected value was recorded before the `seen` map of
+        // `StructuralHasher` switched hashers: the map's hasher must never
+        // reach the digest.
+        let system = paper_system(100);
+        let config = VerificationConfig {
+            seed: 3,
+            threads: 1,
+            ..fast_config()
+        };
+        let request = VerificationRequest::over(&system).with_config(config);
+        assert_eq!(
+            request.fingerprint().to_string(),
+            "29171e2ad08b02083dda04cc82e64b30"
+        );
+    }
+
+    #[test]
     fn table1_row_runs_and_formats() {
         let (certified, stats) = run_table1_row(10);
         assert!(certified);

@@ -51,8 +51,8 @@ pub struct VerificationConfig {
     /// Maximum number of level-set bisection iterations.
     pub max_level_iterations: usize,
     /// Maximum number of samples kept per trace when generating LP
-    /// constraints (traces are downsampled to keep the dense simplex tableau
-    /// small).
+    /// constraints (traces are downsampled to bound the number of LP rows,
+    /// each of which the solver prices at every pivot).
     pub max_samples_per_trace: usize,
     /// Seed for the deterministic RNG that samples initial states.
     pub seed: u64,

@@ -40,7 +40,7 @@
 
 /// Fault site: the δ-SAT solver's branch-and-prune box pop.
 pub const SITE_SOLVER_BOX_POP: &str = "solver.box_pop";
-/// Fault site: the simplex LP pivot.
+/// Fault site: one basis change of the LP solver's revised dual simplex.
 pub const SITE_LP_PIVOT: &str = "lp.pivot";
 /// Fault site: expression-to-tape compilation.
 pub const SITE_TAPE_COMPILE: &str = "tape.compile";

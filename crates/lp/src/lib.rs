@@ -1,17 +1,20 @@
-//! A dense two-phase primal simplex linear-programming solver.
+//! A linear-programming solver sized for many rows over few unknowns.
 //!
-//! The barrier-certificate procedure of the paper repeatedly solves small
-//! linear programs: the coefficients of the templated generator function
-//! `W(x)` are the decision variables, and every simulation sample contributes
-//! a linear constraint (positivity of `W` outside the initial set, decrease of
-//! `W` along the trace).  The problems have tens of variables and at most a
-//! few thousand constraints, so a dense tableau simplex is entirely adequate
-//! and keeps the workspace dependency-free.
+//! The barrier-certificate procedure of the paper repeatedly solves one kind
+//! of linear program: the coefficients of the templated generator function
+//! `W(x)` (plus a decrease margin) are the decision variables, and every
+//! simulation sample contributes a linear constraint (positivity of `W`
+//! outside the initial set, decrease of `W` along the trace).  The problems
+//! have a handful of unknowns — 7 for the 2-D quadratic template — and
+//! hundreds to thousands of constraints.
 //!
-//! The solver handles free (unbounded-sign) variables by internally splitting
-//! them into positive and negative parts, uses a two-phase method to find an
-//! initial basic feasible solution, and applies Bland's rule to guarantee
-//! termination in the presence of degeneracy.
+//! The solver therefore runs a revised primal simplex on the LP's dual.  The
+//! dual has one equality row per unknown, so a basis is `n` of the
+//! constraints and the basis matrix is `n × n`, refactored from scratch at
+//! every pivot; one pivot prices all `m` constraints in `O(m·n)`.  Variables
+//! are free in sign, with no splitting.  A two-phase method (phase 1 over
+//! `n` artificial columns) finds a first basis, and Dantzig's pricing falls
+//! back to Bland's rule, which guarantees termination under degeneracy.
 //!
 //! # Examples
 //!

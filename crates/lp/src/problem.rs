@@ -42,7 +42,8 @@ pub enum LpError {
         /// Number of coefficients supplied.
         found: usize,
     },
-    /// The simplex iteration limit was exceeded (numerically pathological input).
+    /// The simplex iteration limit was exceeded or the basis became
+    /// singular (numerically pathological input).
     IterationLimit,
 }
 
@@ -164,8 +165,10 @@ impl LpProblem {
     ///
     /// * [`LpError::Infeasible`] if no point satisfies all constraints.
     /// * [`LpError::Unbounded`] if the objective can decrease without bound.
-    /// * [`LpError::IterationLimit`] on pathological cycling (should not occur
-    ///   thanks to Bland's rule, but guarded against defensively).
+    /// * [`LpError::IterationLimit`] on pathological cycling or a singular
+    ///   basis (neither should occur: Bland's rule prevents cycling and the
+    ///   ratio test only admits nonsingular bases; both are guarded against
+    ///   defensively).
     pub fn solve(&self) -> Result<LpSolution, LpError> {
         simplex::solve(self)
     }

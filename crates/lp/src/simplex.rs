@@ -1,371 +1,445 @@
-//! Two-phase primal simplex on a dense tableau.
+//! Revised primal simplex on the dual of the LP.
 //!
-//! The solver works on the standard form obtained by
+//! Write every row as `g_jᵀx ≥ h_j` (a `<=` row is negated; an `=` row
+//! keeps its orientation).  The dual of `minimize cᵀx` over those rows is
 //!
-//! 1. splitting every free variable `x_j` into `x_j⁺ - x_j⁻` with both parts
-//!    non-negative,
-//! 2. flipping constraint rows so every right-hand side is non-negative,
-//! 3. adding a slack variable for `<=` rows, a surplus variable for `>=`
-//!    rows, and an artificial variable for `>=`/`=` rows.
+//! ```text
+//! maximize hᵀy  subject to  Σ_j y_j g_j = c,  y_j ≥ 0 (y_j free for `=` rows)
+//! ```
 //!
-//! Phase 1 minimizes the sum of the artificial variables; a positive optimum
-//! proves infeasibility.  Phase 2 then minimizes the true objective starting
-//! from the feasible basis produced by phase 1.  Bland's anti-cycling rule is
-//! used throughout.
+//! It has one equality row per primal unknown, so a basis is `n` primal rows
+//! and the basis matrix `B` (columns `g_j`) is `n × n` however many rows the
+//! problem has.  The primal point of a basis is its vector of simplex
+//! multipliers: the `x` solving `Bᵀx = h_B`, at which every basic row is
+//! active.  The reduced profit of a row, `h_j − g_jᵀx`, is its violation at
+//! that point, so pricing is one `O(m·n)` pass over the rows and Dantzig's
+//! entering column is the most violated row.  A basis with no violated row
+//! and non-negative multipliers `y_B = B⁻¹c` is optimal for both problems,
+//! and a phase-2 ray (an entering row that no basic multiplier blocks) is a
+//! Farkas certificate that the primal is infeasible.
+//!
+//! `B` is refactored from scratch (LU with partial pivoting) at every pivot.
+//! That costs `O(n³)`, below the pricing pass, allocates nothing sized by
+//! `m`, and leaves no update error to accumulate from pivot to pivot.
+//!
+//! Phase 1 starts from `n` artificial columns `±e_k`, signed so that the
+//! artificials start at `|c_k|`, and drives their sum to zero.  A positive
+//! optimum means the dual is infeasible, so the primal is unbounded or
+//! infeasible; the problem is then solved again with `c = 0`, whose dual is
+//! feasible, to tell the two apart.  Artificials never re-enter, and one
+//! still basic in phase 2 (at zero) leaves at the first pivot that would
+//! move it.  Dantzig's rule falls back to Bland's anti-cycling rule after a
+//! large number of pivots.
 
-use crate::problem::{Comparison, LinearConstraint, LpError, LpProblem, LpSolution};
+use crate::problem::{Comparison, LpError, LpProblem, LpSolution};
 
-const EPS: f64 = 1e-9;
-/// Reduced costs above `-UNBOUNDED_TOL × cost scale` are treated as rounding
-/// noise when their column admits no pivot: free variables are split into
-/// `x⁺ − x⁻` whose columns are exact negatives of each other, and after many
-/// pivots the accumulated drift can leave such a column with a slightly
-/// negative reduced cost and no positive entry, which is a spurious
-/// unboundedness certificate.  The tolerance is relative to the magnitude of
-/// the initial reduced costs (drift scales with the data), so an LP whose
-/// objective is legitimately tiny still gets a correct `Unbounded` verdict.
-const UNBOUNDED_TOL: f64 = 1e-6;
+/// Relative tolerance of the violation (pricing) test and of phase 1's
+/// residual infeasibility.
+const FEASIBILITY_TOL: f64 = 1e-9;
+/// A direction entry at or below this fraction of the direction's largest
+/// entry is not a pivot.
+const PIVOT_TOL: f64 = 1e-9;
 const MAX_ITERATIONS: usize = 200_000;
 
-/// Dense simplex tableau.
-struct Tableau {
-    /// Row-major tableau: `rows x (cols + 1)`, last column is the RHS.
-    data: Vec<f64>,
-    rows: usize,
-    cols: usize,
-    /// Index of the basic variable for each row.
-    basis: Vec<usize>,
+/// An optimal solution with the multipliers that certify it.
+pub(crate) struct Optimum {
+    pub(crate) solution: LpSolution,
+    /// `(row, y)` for every basic row, oriented like the row as given:
+    /// non-negative for `>=` rows, non-positive for `<=` rows, free for `=`
+    /// rows.  Every other row's multiplier is zero.
+    pub(crate) duals: Vec<(usize, f64)>,
 }
 
-impl Tableau {
-    fn at(&self, r: usize, c: usize) -> f64 {
-        self.data[r * (self.cols + 1) + c]
-    }
-
-    fn at_mut(&mut self, r: usize, c: usize) -> &mut f64 {
-        &mut self.data[r * (self.cols + 1) + c]
-    }
-
-    fn rhs(&self, r: usize) -> f64 {
-        self.at(r, self.cols)
-    }
-
-    /// Performs a pivot on (`pivot_row`, `pivot_col`).
-    fn pivot(&mut self, pivot_row: usize, pivot_col: usize) {
-        nncps_fault::panic_point(nncps_fault::SITE_LP_PIVOT);
-        let width = self.cols + 1;
-        let pivot_value = self.at(pivot_row, pivot_col);
-        debug_assert!(pivot_value.abs() > EPS, "pivot too small");
-        // Normalize the pivot row.
-        for c in 0..width {
-            *self.at_mut(pivot_row, c) /= pivot_value;
-        }
-        // Eliminate the pivot column from all other rows.
-        for r in 0..self.rows {
-            if r == pivot_row {
-                continue;
-            }
-            let factor = self.at(r, pivot_col);
-            if factor.abs() <= EPS {
-                continue;
-            }
-            for c in 0..width {
-                let delta = factor * self.at(pivot_row, c);
-                *self.at_mut(r, c) -= delta;
-            }
-        }
-        self.basis[pivot_row] = pivot_col;
-    }
+/// Solves the problem (see the [module docs](self)).
+pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
+    solve_counted(problem, &mut 0).map(|optimum| optimum.solution)
 }
 
-/// Runs the simplex method on the tableau for the given objective row
-/// (reduced costs), minimizing.  `allowed_cols` restricts entering variables.
-///
-/// The entering variable is chosen with Dantzig's rule (most negative reduced
-/// cost) for speed; after a large number of iterations the solver falls back
-/// to Bland's rule, which guarantees termination on degenerate problems.
-///
-/// Returns `Ok(objective_value)` on optimality.
-fn run_simplex(
-    tableau: &mut Tableau,
-    costs: &mut [f64],
-    objective_value: &mut f64,
-    allowed_cols: &[bool],
-) -> Result<(), LpError> {
-    // Switch to Bland's anti-cycling rule once the iteration count suggests
-    // the faster Dantzig rule might be cycling.
-    let bland_threshold = 50 * (tableau.rows + tableau.cols).max(100);
-    // Scale for the "decisively negative" unboundedness test below.
-    let cost_scale = costs
-        .iter()
-        .fold(0.0_f64, |acc, c| acc.max(c.abs()))
-        .max(EPS);
-    let unbounded_threshold = UNBOUNDED_TOL * cost_scale;
-    // Columns skipped during the current entering-variable search because
-    // they admit no pivot at noise-level negative cost (reset each pivot).
-    let mut skipped = vec![false; tableau.cols];
-    for iteration in 0..MAX_ITERATIONS {
-        let use_bland = iteration >= bland_threshold;
-        skipped.iter_mut().for_each(|s| *s = false);
-        loop {
-            // Entering variable: Bland's rule takes the lowest eligible
-            // index, Dantzig's the most negative reduced cost.
-            let entering = if use_bland {
-                (0..tableau.cols).find(|&c| allowed_cols[c] && !skipped[c] && costs[c] < -EPS)
-            } else {
-                let mut best: Option<(usize, f64)> = None;
-                for c in 0..tableau.cols {
-                    if allowed_cols[c]
-                        && !skipped[c]
-                        && costs[c] < -EPS
-                        && best.is_none_or(|(_, v)| costs[c] < v)
-                    {
-                        best = Some((c, costs[c]));
-                    }
+/// Solves the problem and adds the number of pivots made to `pivots`.
+pub(crate) fn solve_counted(problem: &LpProblem, pivots: &mut usize) -> Result<Optimum, LpError> {
+    let rows = Rows::new(problem);
+    match Dual::new(&rows, problem.objective()).optimize(pivots)? {
+        Some(mut optimum) => {
+            for (row, y) in &mut optimum.duals {
+                if problem.constraints()[*row].comparison == Comparison::Le {
+                    *y = -*y;
                 }
-                best.map(|(c, _)| c)
+            }
+            Ok(optimum)
+        }
+        // The dual is infeasible, so the primal is unbounded unless it has
+        // no feasible point.  With `c = 0` the dual is feasible (`y = 0`),
+        // so this run ends in an optimum or in `Infeasible`.
+        None => {
+            Dual::new(&rows, &vec![0.0; rows.n]).optimize(pivots)?;
+            Err(LpError::Unbounded)
+        }
+    }
+}
+
+/// The rows of the problem in `≥` orientation: row `j` is `g_jᵀx ≥ h_j`,
+/// or `g_jᵀx = h_j` when `free[j]`.
+struct Rows {
+    n: usize,
+    m: usize,
+    /// `g_j`, row-major `m × n`.
+    g: Vec<f64>,
+    h: Vec<f64>,
+    /// `=` rows, whose multiplier is free in sign.
+    free: Vec<bool>,
+    /// `‖g_j‖₁`, which scales row `j`'s violation tolerance.
+    norm: Vec<f64>,
+}
+
+impl Rows {
+    fn new(problem: &LpProblem) -> Self {
+        let n = problem.num_vars();
+        let constraints = problem.constraints();
+        let m = constraints.len();
+        let mut rows = Rows {
+            n,
+            m,
+            g: Vec::with_capacity(m * n),
+            h: Vec::with_capacity(m),
+            free: Vec::with_capacity(m),
+            norm: Vec::with_capacity(m),
+        };
+        for c in constraints {
+            let sign = if c.comparison == Comparison::Le {
+                -1.0
+            } else {
+                1.0
             };
-            let Some(entering) = entering else {
-                // No eligible column left (possibly after skipping
-                // noise-level ones): the basis is optimal to tolerance.
+            rows.g.extend(c.coefficients.iter().map(|a| sign * a));
+            rows.h.push(sign * c.rhs);
+            rows.free.push(c.comparison == Comparison::Eq);
+            rows.norm.push(c.coefficients.iter().map(|a| a.abs()).sum());
+        }
+        rows
+    }
+
+    fn row(&self, j: usize) -> &[f64] {
+        &self.g[j * self.n..(j + 1) * self.n]
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    One,
+    Two,
+}
+
+/// The dual simplex state: a basis of `n` columns and its factorization.
+struct Dual<'a> {
+    rows: &'a Rows,
+    c: &'a [f64],
+    /// The basic column at each of the `n` positions: a row `j < m`, or
+    /// `m + k` for the `k`-th artificial column `artificial_sign[k]·e_k`.
+    basis: Vec<usize>,
+    in_basis: Vec<bool>,
+    artificial_sign: Vec<f64>,
+    lu: Lu,
+    /// Basic multipliers `y_B = B⁻¹c`.
+    y: Vec<f64>,
+    /// The primal point `x = B⁻ᵀ profit_B`.
+    x: Vec<f64>,
+    /// The entering column's direction `B⁻¹g_j`.
+    u: Vec<f64>,
+}
+
+impl<'a> Dual<'a> {
+    fn new(rows: &'a Rows, c: &'a [f64]) -> Self {
+        let n = rows.n;
+        Dual {
+            rows,
+            c,
+            basis: (rows.m..rows.m + n).collect(),
+            in_basis: vec![false; rows.m],
+            artificial_sign: c
+                .iter()
+                .map(|&ck| if ck < 0.0 { -1.0 } else { 1.0 })
+                .collect(),
+            lu: Lu::new(n),
+            y: vec![0.0; n],
+            x: vec![0.0; n],
+            u: vec![0.0; n],
+        }
+    }
+
+    /// Runs both phases.  `None` means the dual is infeasible.
+    fn optimize(mut self, pivots: &mut usize) -> Result<Option<Optimum>, LpError> {
+        self.run(Phase::One, pivots)?;
+        if self.infeasibility() > self.infeasibility_tolerance() {
+            return Ok(None);
+        }
+        self.run(Phase::Two, pivots)?;
+        let objective = self.c.iter().zip(&self.x).map(|(c, x)| c * x).sum();
+        let duals = (0..self.rows.n)
+            .filter(|&p| self.basis[p] < self.rows.m)
+            .map(|p| (self.basis[p], self.y[p]))
+            .collect();
+        Ok(Some(Optimum {
+            solution: LpSolution::new(self.x, objective),
+            duals,
+        }))
+    }
+
+    /// Pivots until the phase is optimal.  On return the factorization,
+    /// `y` and (unless phase 1 stopped early) `x` belong to the final basis.
+    fn run(&mut self, phase: Phase, pivots: &mut usize) -> Result<(), LpError> {
+        // Switch to Bland's rule once the iteration count suggests the
+        // faster Dantzig rule might be cycling.
+        let bland_after = 50 * (self.rows.n + self.rows.m).max(100);
+        for iteration in 0..MAX_ITERATIONS {
+            self.refactor()?;
+            if phase == Phase::One && self.infeasibility() <= self.infeasibility_tolerance() {
+                return Ok(());
+            }
+            let use_bland = iteration >= bland_after;
+            let Some((entering, direction)) = self.price(phase, use_bland) else {
                 return Ok(());
             };
-            // Ratio test: smallest ratio rhs / a_ij over rows with a_ij > 0.
-            // Ties are broken by the smallest basis index under Bland's rule
-            // and by the largest pivot magnitude (better conditioning)
-            // otherwise.
-            let mut pivot_row: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for r in 0..tableau.rows {
-                let a = tableau.at(r, entering);
-                if a > EPS {
-                    let ratio = tableau.rhs(r) / a;
-                    let better = match pivot_row {
-                        None => true,
-                        Some(prev) => {
-                            let prev_a = tableau.at(prev, entering);
-                            ratio < best_ratio - EPS
-                                || ((ratio - best_ratio).abs() <= EPS
-                                    && if use_bland {
-                                        tableau.basis[r] < tableau.basis[prev]
-                                    } else {
-                                        a > prev_a
-                                    })
-                        }
-                    };
-                    if better {
-                        best_ratio = ratio;
-                        pivot_row = Some(r);
-                    }
-                }
+            let Some(leaving) = self.ratio_test(entering, direction, phase, use_bland) else {
+                // Phase 1 maximizes a sum bounded by zero, so only rounding
+                // can produce a ray there.
+                return Err(match phase {
+                    Phase::Two => LpError::Infeasible,
+                    Phase::One => LpError::IterationLimit,
+                });
+            };
+            nncps_fault::panic_point(nncps_fault::SITE_LP_PIVOT);
+            let old = std::mem::replace(&mut self.basis[leaving], entering);
+            if old < self.rows.m {
+                self.in_basis[old] = false;
             }
-            match pivot_row {
-                Some(r) => {
-                    // Pivot, then update the reduced-cost row.
-                    let factor = costs[entering];
-                    tableau.pivot(r, entering);
-                    if factor.abs() > EPS {
-                        for (c, cost) in costs.iter_mut().enumerate().take(tableau.cols) {
-                            *cost -= factor * tableau.at(r, c);
-                        }
-                        *objective_value -= factor * tableau.rhs(r);
-                    }
-                    break;
-                }
-                // No pivot at decisively negative cost: a true unbounded ray.
-                None if costs[entering] < -unbounded_threshold => {
-                    return Err(LpError::Unbounded);
-                }
-                // No pivot at noise-level cost (see UNBOUNDED_TOL): skip the
-                // column for this search and try the next candidate.
-                None => skipped[entering] = true,
-            }
+            self.in_basis[entering] = true;
+            *pivots += 1;
+        }
+        Err(LpError::IterationLimit)
+    }
+
+    /// The sum of the artificials (phase 1's objective, negated).
+    fn infeasibility(&self) -> f64 {
+        (0..self.rows.n)
+            .filter(|&p| self.basis[p] >= self.rows.m)
+            .map(|p| self.y[p].max(0.0))
+            .sum()
+    }
+
+    fn infeasibility_tolerance(&self) -> f64 {
+        FEASIBILITY_TOL * self.c.iter().fold(0.0_f64, |acc, c| acc.max(c.abs()))
+    }
+
+    fn profit(&self, column: usize, phase: Phase) -> f64 {
+        match (phase, column < self.rows.m) {
+            (Phase::One, true) => 0.0,
+            (Phase::One, false) => -1.0,
+            (Phase::Two, true) => self.rows.h[column],
+            (Phase::Two, false) => 0.0,
         }
     }
-    Err(LpError::IterationLimit)
+
+    /// Factors `B` afresh and recomputes `y_B = B⁻¹c`.
+    fn refactor(&mut self) -> Result<(), LpError> {
+        let n = self.rows.n;
+        for (p, &column) in self.basis.iter().enumerate() {
+            if column < self.rows.m {
+                for (i, &g) in self.rows.row(column).iter().enumerate() {
+                    self.lu.a[i * n + p] = g;
+                }
+            } else {
+                let k = column - self.rows.m;
+                for i in 0..n {
+                    self.lu.a[i * n + p] = if i == k { self.artificial_sign[k] } else { 0.0 };
+                }
+            }
+        }
+        // The ratio test only admits pivots that keep `B` nonsingular, so a
+        // singular factor means the input is numerically pathological.
+        if !self.lu.factor() {
+            return Err(LpError::IterationLimit);
+        }
+        self.y.copy_from_slice(self.c);
+        self.lu.solve(&mut self.y);
+        Ok(())
+    }
+
+    /// Computes the primal point and returns the entering row with the sign
+    /// its multiplier moves in, or `None` when no row is violated.
+    fn price(&mut self, phase: Phase, use_bland: bool) -> Option<(usize, f64)> {
+        for p in 0..self.rows.n {
+            self.x[p] = self.profit(self.basis[p], phase);
+        }
+        self.lu.solve_transposed(&mut self.x);
+        let x_scale = self.x.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()));
+        let rows = self.rows;
+        // (row, violation, direction) of the best candidate so far.
+        let mut best: Option<(usize, f64, f64)> = None;
+        for j in 0..rows.m {
+            if self.in_basis[j] {
+                continue;
+            }
+            let activity: f64 = rows.row(j).iter().zip(&self.x).map(|(g, x)| g * x).sum();
+            let profit = self.profit(j, phase) - activity;
+            let violation = if rows.free[j] { profit.abs() } else { profit };
+            let tolerance = FEASIBILITY_TOL * (1.0 + rows.h[j].abs() + rows.norm[j] * x_scale);
+            if violation <= tolerance {
+                continue;
+            }
+            if use_bland {
+                return Some((j, profit.signum()));
+            }
+            if best.is_none_or(|(_, most, _)| violation > most) {
+                best = Some((j, violation, profit.signum()));
+            }
+        }
+        best.map(|(j, _, direction)| (j, direction))
+    }
+
+    /// Returns the basis position that leaves when `entering`'s multiplier
+    /// moves in `direction`, or `None` if nothing blocks it (a ray).
+    ///
+    /// Ties are broken by the smallest column index under Bland's rule and
+    /// by the largest pivot magnitude (better conditioning) otherwise.
+    fn ratio_test(
+        &mut self,
+        entering: usize,
+        direction: f64,
+        phase: Phase,
+        use_bland: bool,
+    ) -> Option<usize> {
+        self.u.copy_from_slice(self.rows.row(entering));
+        self.lu.solve(&mut self.u);
+        let tolerance = PIVOT_TOL * self.u.iter().fold(0.0_f64, |acc, u| acc.max(u.abs()));
+        let mut best: Option<(usize, f64, f64)> = None;
+        for p in 0..self.rows.n {
+            let column = self.basis[p];
+            let artificial = column >= self.rows.m;
+            if !artificial && self.rows.free[column] {
+                continue;
+            }
+            let (pivot, value) = if artificial && phase == Phase::Two {
+                (self.u[p].abs(), 0.0)
+            } else {
+                (direction * self.u[p], self.y[p].max(0.0))
+            };
+            if pivot <= tolerance {
+                continue;
+            }
+            let ratio = value / pivot;
+            let better = match best {
+                None => true,
+                Some((prev, best_ratio, best_pivot)) => {
+                    let tie = FEASIBILITY_TOL * best_ratio;
+                    ratio < best_ratio - tie
+                        || (ratio <= best_ratio + tie
+                            && if use_bland {
+                                column < self.basis[prev]
+                            } else {
+                                pivot > best_pivot
+                            })
+                }
+            };
+            if better {
+                best = Some((p, ratio, pivot));
+            }
+        }
+        best.map(|(p, _, _)| p)
+    }
 }
 
-/// Solves the given problem with the two-phase simplex method.
-pub(crate) fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
-    let n = problem.num_vars();
-    let constraints = problem.constraints();
-    let m = constraints.len();
+/// LU factors of the `n × n` basis matrix with partial pivoting:
+/// `P·B = L·U`.
+struct Lu {
+    n: usize,
+    /// `B` before [`Lu::factor`]; afterwards `L` (strictly below the
+    /// diagonal, unit diagonal implied) and `U` (on and above), row-major.
+    a: Vec<f64>,
+    /// Row `i` of `P·B` is row `perm[i]` of `B`.
+    perm: Vec<usize>,
+    work: Vec<f64>,
+}
 
-    // With no constraints the problem is unbounded unless the objective is zero.
-    if m == 0 {
-        return if problem.objective().iter().all(|&c| c.abs() <= EPS) {
-            Ok(LpSolution::new(vec![0.0; n], 0.0))
-        } else {
-            Err(LpError::Unbounded)
-        };
-    }
-
-    // Column layout: [x⁺ (n) | x⁻ (n) | slack/surplus (m_slack) | artificial (m_art)]
-    let mut num_slack = 0usize;
-    let mut num_artificial = 0usize;
-    for c in constraints {
-        match normalized_comparison(c) {
-            Comparison::Le => num_slack += 1,
-            Comparison::Ge => {
-                num_slack += 1;
-                num_artificial += 1;
-            }
-            Comparison::Eq => num_artificial += 1,
-        }
-    }
-    let total_cols = 2 * n + num_slack + num_artificial;
-    let artificial_start = 2 * n + num_slack;
-
-    let mut tableau = Tableau {
-        data: vec![0.0; m * (total_cols + 1)],
-        rows: m,
-        cols: total_cols,
-        basis: vec![usize::MAX; m],
-    };
-
-    let mut slack_index = 0usize;
-    let mut artificial_index = 0usize;
-    let mut artificial_rows: Vec<usize> = Vec::new();
-
-    for (r, c) in constraints.iter().enumerate() {
-        let flip = c.rhs < 0.0;
-        let sign = if flip { -1.0 } else { 1.0 };
-        for (j, &a) in c.coefficients.iter().enumerate() {
-            *tableau.at_mut(r, j) = sign * a;
-            *tableau.at_mut(r, n + j) = -sign * a;
-        }
-        *tableau.at_mut(r, total_cols) = sign * c.rhs;
-        let comparison = normalized_comparison_flip(c, flip);
-        match comparison {
-            Comparison::Le => {
-                let col = 2 * n + slack_index;
-                *tableau.at_mut(r, col) = 1.0;
-                tableau.basis[r] = col;
-                slack_index += 1;
-            }
-            Comparison::Ge => {
-                let surplus_col = 2 * n + slack_index;
-                *tableau.at_mut(r, surplus_col) = -1.0;
-                slack_index += 1;
-                let art_col = artificial_start + artificial_index;
-                *tableau.at_mut(r, art_col) = 1.0;
-                tableau.basis[r] = art_col;
-                artificial_index += 1;
-                artificial_rows.push(r);
-            }
-            Comparison::Eq => {
-                let art_col = artificial_start + artificial_index;
-                *tableau.at_mut(r, art_col) = 1.0;
-                tableau.basis[r] = art_col;
-                artificial_index += 1;
-                artificial_rows.push(r);
-            }
+impl Lu {
+    fn new(n: usize) -> Self {
+        Lu {
+            n,
+            a: vec![0.0; n * n],
+            perm: vec![0; n],
+            work: vec![0.0; n],
         }
     }
 
-    let allowed_all = vec![true; total_cols];
-
-    // ---- Phase 1: minimize the sum of artificial variables. ----
-    if num_artificial > 0 {
-        let mut costs = vec![0.0; total_cols];
-        for cost in costs.iter_mut().skip(artificial_start) {
-            *cost = 1.0;
+    /// Factors `a` in place; `false` if it is singular.
+    fn factor(&mut self) -> bool {
+        let n = self.n;
+        let a = &mut self.a;
+        for (i, p) in self.perm.iter_mut().enumerate() {
+            *p = i;
         }
-        let mut phase1_value = 0.0;
-        // Express the phase-1 objective in terms of the non-basic variables:
-        // subtract the rows whose basic variable is artificial.
-        for &r in &artificial_rows {
-            for (c, cost) in costs.iter_mut().enumerate().take(total_cols) {
-                *cost -= tableau.at(r, c);
+        for k in 0..n {
+            let pivot_row = (k..n)
+                .max_by(|&i, &j| a[i * n + k].abs().total_cmp(&a[j * n + k].abs()))
+                .expect("k < n");
+            if a[pivot_row * n + k] == 0.0 {
+                return false;
             }
-            phase1_value -= tableau.rhs(r);
-        }
-        run_simplex(&mut tableau, &mut costs, &mut phase1_value, &allowed_all)?;
-        // Recompute the phase-1 optimum (the sum of the artificial variables)
-        // directly from the tableau instead of trusting the incrementally
-        // updated value, which accumulates rounding error over thousands of
-        // pivots on large problems.
-        let infeasibility: f64 = (0..m)
-            .filter(|&r| tableau.basis[r] >= artificial_start)
-            .map(|r| tableau.rhs(r).max(0.0))
-            .sum();
-        let rhs_scale = constraints
-            .iter()
-            .map(|c| c.rhs.abs())
-            .fold(1.0_f64, f64::max);
-        if infeasibility > 1e-7 * rhs_scale.max(1.0) {
-            return Err(LpError::Infeasible);
-        }
-        // Drive any remaining artificial variables out of the basis.
-        for r in 0..m {
-            if tableau.basis[r] >= artificial_start && tableau.rhs(r).abs() <= 1e-7 {
-                if let Some(col) = (0..artificial_start).find(|&c| tableau.at(r, c).abs() > 1e-7) {
-                    tableau.pivot(r, col);
+            if pivot_row != k {
+                for j in 0..n {
+                    a.swap(k * n + j, pivot_row * n + j);
+                }
+                self.perm.swap(k, pivot_row);
+            }
+            let pivot = a[k * n + k];
+            for i in k + 1..n {
+                let factor = a[i * n + k] / pivot;
+                a[i * n + k] = factor;
+                for j in k + 1..n {
+                    a[i * n + j] -= factor * a[k * n + j];
                 }
             }
         }
+        true
     }
 
-    // ---- Phase 2: minimize the true objective over non-artificial columns. ----
-    let mut allowed = vec![true; total_cols];
-    for flag in allowed.iter_mut().skip(artificial_start) {
-        *flag = false;
-    }
-    let mut costs = vec![0.0; total_cols];
-    for j in 0..n {
-        costs[j] = problem.objective()[j];
-        costs[n + j] = -problem.objective()[j];
-    }
-    let mut objective_value = 0.0;
-    // Express the objective in terms of the current (feasible) basis.
-    for r in 0..m {
-        let b = tableau.basis[r];
-        if b < total_cols {
-            let factor = costs[b];
-            if factor.abs() > EPS {
-                for (c, cost) in costs.iter_mut().enumerate().take(total_cols) {
-                    *cost -= factor * tableau.at(r, c);
-                }
-                objective_value -= factor * tableau.rhs(r);
+    /// Overwrites `b` with the solution `z` of `B·z = b`.
+    fn solve(&mut self, b: &mut [f64]) {
+        let (n, a, w) = (self.n, &self.a, &mut self.work);
+        for i in 0..n {
+            w[i] = b[self.perm[i]];
+        }
+        for i in 0..n {
+            for j in 0..i {
+                w[i] -= a[i * n + j] * w[j];
             }
         }
-    }
-    run_simplex(&mut tableau, &mut costs, &mut objective_value, &allowed)?;
-
-    // Extract the solution: basic variables take their RHS value, others zero.
-    let mut extended = vec![0.0; total_cols];
-    for r in 0..m {
-        let b = tableau.basis[r];
-        if b < total_cols {
-            extended[b] = tableau.rhs(r);
+        for i in (0..n).rev() {
+            for j in i + 1..n {
+                w[i] -= a[i * n + j] * w[j];
+            }
+            w[i] /= a[i * n + i];
         }
+        b.copy_from_slice(w);
     }
-    // If an artificial variable is still basic at a nonzero level the problem
-    // is infeasible (can happen despite the phase-1 optimum check when the
-    // pivot clean-up above could not remove it).
-    for value in extended.iter().skip(artificial_start) {
-        if value.abs() > 1e-6 {
-            return Err(LpError::Infeasible);
+
+    /// Overwrites `b` with the solution `z` of `Bᵀ·z = b`.
+    fn solve_transposed(&mut self, b: &mut [f64]) {
+        let (n, a, w) = (self.n, &self.a, &mut self.work);
+        for i in 0..n {
+            w[i] = b[i];
+            for j in 0..i {
+                w[i] -= a[j * n + i] * w[j];
+            }
+            w[i] /= a[i * n + i];
         }
-    }
-    let values: Vec<f64> = (0..n).map(|j| extended[j] - extended[n + j]).collect();
-    let objective = problem.objective_value(&values);
-    Ok(LpSolution::new(values, objective))
-}
-
-/// Comparison after the RHS sign normalization used for column counting
-/// (counting is conservative: a flipped `<=` becomes `>=` and vice versa, but
-/// both need exactly one slack-type column, and `>=` needs an artificial; we
-/// count using the flipped form to match construction).
-fn normalized_comparison(c: &LinearConstraint) -> Comparison {
-    normalized_comparison_flip(c, c.rhs < 0.0)
-}
-
-fn normalized_comparison_flip(c: &LinearConstraint, flip: bool) -> Comparison {
-    match (c.comparison, flip) {
-        (Comparison::Le, false) | (Comparison::Ge, true) => Comparison::Le,
-        (Comparison::Ge, false) | (Comparison::Le, true) => Comparison::Ge,
-        (Comparison::Eq, _) => Comparison::Eq,
+        for i in (0..n).rev() {
+            for j in i + 1..n {
+                w[i] -= a[j * n + i] * w[j];
+            }
+        }
+        for i in 0..n {
+            b[self.perm[i]] = w[i];
+        }
     }
 }
 
@@ -549,14 +623,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn large_trace_style_lp_is_not_misreported_as_infeasible() {
-        // Regression test: with several hundred positivity/decrease rows the
-        // accumulated pivot error used to push the incrementally tracked
-        // phase-1 objective past the feasibility threshold and the solver
-        // reported `Infeasible` even though a feasible point exists.  The
-        // constraint system below is built around the known feasible point
-        // w = (0.02, 0.01, 0.13, 0, 0, 0.01, t=0).
+    /// A trace-style LP built around the known feasible point
+    /// w = (0.02, 0.01, 0.13, 0, 0, 0.01, t=0): 400 positivity rows and 400
+    /// decrease rows, all loose at w, plus one normalization equality.
+    fn large_trace_lp() -> LpProblem {
         let w = [0.02, 0.01, 0.13, 0.0, 0.0, 0.01, 0.0];
         let eval =
             |coeffs: &[f64]| -> f64 { coeffs.iter().zip(w.iter()).map(|(a, b)| a * b).sum() };
@@ -584,29 +654,270 @@ mod tests {
         }
         let norm = [25.0, 7.8, 2.4, 5.0, 1.56, 1.0, 0.0];
         lp.add_constraint(&norm, Comparison::Eq, eval(&norm));
+        lp
+    }
+
+    /// The generator-function-shaped LP of the `substrate/lp_solve/{rows}`
+    /// bench: 7 variables, `rows` positivity and `rows` decrease rows along
+    /// a contracting spiral, and one normalization equality.
+    fn bench_lp(rows: usize) -> LpProblem {
+        let mut lp = LpProblem::new(7);
+        lp.set_objective(&[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]);
+        for k in 0..rows {
+            let t = k as f64 / rows as f64;
+            let x = 4.0 * (1.0 - t) * (2.0 * std::f64::consts::PI * t).cos();
+            let y = 1.4 * (1.0 - t) * (2.0 * std::f64::consts::PI * t).sin();
+            lp.add_constraint(&[x * x, x * y, y * y, x, y, 1.0, 0.0], Comparison::Ge, 1e-6);
+            let (nx, ny) = (0.98 * x, 0.97 * y);
+            lp.add_constraint(
+                &[
+                    nx * nx - x * x,
+                    nx * ny - x * y,
+                    ny * ny - y * y,
+                    nx - x,
+                    ny - y,
+                    0.0,
+                    0.05,
+                ],
+                Comparison::Le,
+                -1e-6,
+            );
+        }
+        lp.add_constraint(&[25.0, 7.8, 2.4, 5.0, 1.56, 1.0, 0.0], Comparison::Eq, 1.0);
+        lp
+    }
+
+    /// Asserts that `optimum` is certified optimal for `lp`: the point is
+    /// feasible, the multipliers have the signs of their rows and satisfy
+    /// `Σ y_i a_i = c`, and the primal and dual objectives agree.
+    fn assert_certified(lp: &LpProblem, optimum: &Optimum) {
+        let x = optimum.solution.values();
+        let x_scale = x.iter().fold(0.0_f64, |acc, v| acc.max(v.abs()));
+        for (i, row) in lp.constraints().iter().enumerate() {
+            let activity: f64 = row.coefficients.iter().zip(x).map(|(a, v)| a * v).sum();
+            let violation = match row.comparison {
+                Comparison::Le => activity - row.rhs,
+                Comparison::Ge => row.rhs - activity,
+                Comparison::Eq => (activity - row.rhs).abs(),
+            };
+            let scale = 1.0
+                + row.rhs.abs()
+                + row
+                    .coefficients
+                    .iter()
+                    .zip(x)
+                    .map(|(a, v)| (a * v).abs())
+                    .sum::<f64>();
+            assert!(
+                violation <= 1e-7 * scale,
+                "row {i} violated by {violation:e}"
+            );
+        }
+        let c = lp.objective();
+        let y_scale = optimum
+            .duals
+            .iter()
+            .fold(1.0_f64, |acc, &(_, y)| acc.max(y.abs()));
+        let mut residual = c.to_vec();
+        let mut dual_objective = 0.0;
+        let mut scale = 1.0 + c.iter().map(|v| v.abs()).sum::<f64>() * (1.0 + x_scale);
+        for &(i, y) in &optimum.duals {
+            let row = &lp.constraints()[i];
+            match row.comparison {
+                Comparison::Ge => assert!(y >= -1e-9 * y_scale, "row {i}: y = {y:e}"),
+                Comparison::Le => assert!(y <= 1e-9 * y_scale, "row {i}: y = {y:e}"),
+                Comparison::Eq => {}
+            }
+            for (r, a) in residual.iter_mut().zip(&row.coefficients) {
+                *r -= y * a;
+            }
+            dual_objective += y * row.rhs;
+            let norm: f64 = row.coefficients.iter().map(|a| a.abs()).sum();
+            scale += y.abs() * (row.rhs.abs() + norm * (1.0 + x_scale));
+        }
+        let stationarity = residual.iter().fold(0.0_f64, |acc, r| acc.max(r.abs()));
+        assert!(stationarity <= 1e-7 * scale, "Σ y_i a_i - c = {residual:?}");
+        let gap = (optimum.solution.objective() - dual_objective).abs();
+        assert!(gap <= 1e-7 * scale, "duality gap {gap:e}");
+    }
+
+    #[test]
+    fn large_trace_style_lp_is_not_misreported_as_infeasible() {
+        // Regression test: with several hundred positivity/decrease rows the
+        // accumulated pivot error of an incrementally updated tableau once
+        // made the solver report `Infeasible` for this feasible LP.
+        let lp = large_trace_lp();
         let solution = lp.solve().expect("the constructed LP is feasible");
         assert!(lp.is_feasible(solution.values(), 1e-5));
     }
 
+    /// The pinned LPs with their optimal objectives, recorded with the dense
+    /// two-phase tableau simplex this solver replaced, and their pivot
+    /// counts.
+    fn pinned_lps() -> [(&'static str, LpProblem, f64, usize); 4] {
+        [
+            ("bench/100", bench_lp(100), -1.1676121772971355e-2, 55),
+            ("bench/400", bench_lp(400), -2.5792357199131556e-3, 61),
+            ("bench/800", bench_lp(800), -1.2500886889395247e-3, 69),
+            ("large_trace", large_trace_lp(), -1.0022643926235599e1, 388),
+        ]
+    }
+
     #[test]
-    fn maximizing_a_margin_variable_prefers_larger_margins() {
-        // minimize -t subject to  x + t <= 5, x >= 1, 0 <= t <= 10.
-        // Optimal t = 4 at x = 1.
-        let sol = solve_lp(
-            2,
-            &[0.0, -1.0],
-            &[
-                (&[1.0, 1.0], Comparison::Le, 5.0),
-                (&[1.0, 0.0], Comparison::Ge, 1.0),
-                (&[0.0, 1.0], Comparison::Ge, 0.0),
-                (&[0.0, 1.0], Comparison::Le, 10.0),
-            ],
-        )
-        .unwrap();
-        assert!((sol.values()[1] - 4.0).abs() < 1e-6, "{sol:?}");
+    fn pinned_lps_reach_the_recorded_optima_with_a_certificate() {
+        for (name, lp, expected, _) in pinned_lps() {
+            let optimum = solve_counted(&lp, &mut 0).expect(name);
+            assert_certified(&lp, &optimum);
+            let objective = optimum.solution.objective();
+            assert!(
+                (objective - expected).abs() <= 1e-7 * expected.abs(),
+                "{name}: {objective:e} vs recorded {expected:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn pinned_lps_take_a_pinned_number_of_pivots() {
+        // The pivot count is the solver's deterministic work counter: a
+        // pricing or ratio-test change that multiplies it fails here
+        // instead of hiding in timing noise.
+        for (name, lp, _, expected) in pinned_lps() {
+            let mut pivots = 0;
+            solve_counted(&lp, &mut pivots).expect(name);
+            assert_eq!(pivots, expected, "{name}");
+        }
+    }
+
+    /// A splitmix64 stream: the random LPs below are a pure function of
+    /// the sampled seed.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, k: usize) -> usize {
+            (self.next() % k as u64) as usize
+        }
+
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A random LP over `n` variables inside the box `|x_k| <= 4`, with `m`
+    /// further rows: fresh sparse rows (many of them active at one common
+    /// point, so the optimum is degenerate), exact duplicates, scaled and
+    /// negated copies, and a few equalities.  When `infeasible`, one extra
+    /// row no point of the box satisfies is added.
+    fn random_bounded_lp(n: usize, m: usize, seed: u64, infeasible: bool) -> LpProblem {
+        let mut rng = Stream(seed);
+        let point: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let mut lp = LpProblem::new(n);
+        if rng.below(10) > 0 {
+            let objective: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.below(4) == 0 {
+                        0.0
+                    } else {
+                        rng.uniform(-1.0, 1.0)
+                    }
+                })
+                .collect();
+            lp.set_objective(&objective);
+        }
+        for k in 0..n {
+            let mut unit = vec![0.0; n];
+            unit[k] = 1.0;
+            lp.add_constraint(&unit, Comparison::Le, 4.0);
+            lp.add_constraint(&unit, Comparison::Ge, -4.0);
+        }
+        let mut fresh: Vec<(Vec<f64>, Comparison, f64)> = Vec::new();
+        let mut equalities = 0;
+        for _ in 0..m {
+            let kind = rng.below(8);
+            let (row, comparison, rhs) = match (kind, fresh.len()) {
+                (0, len) if len > 0 => fresh[rng.below(len)].clone(),
+                (1, len) if len > 0 => {
+                    let (row, comparison, rhs) = fresh[rng.below(len)].clone();
+                    let factor = rng.uniform(0.5, 3.0);
+                    let scaled: Vec<f64> = row.iter().map(|a| -factor * a).collect();
+                    let flipped = match comparison {
+                        Comparison::Le => Comparison::Ge,
+                        Comparison::Ge => Comparison::Le,
+                        Comparison::Eq => Comparison::Eq,
+                    };
+                    (scaled, flipped, -factor * rhs)
+                }
+                _ => {
+                    let row: Vec<f64> = (0..n)
+                        .map(|_| {
+                            if rng.below(3) == 0 {
+                                0.0
+                            } else {
+                                rng.uniform(-2.0, 2.0)
+                            }
+                        })
+                        .collect();
+                    let at_point: f64 = row.iter().zip(&point).map(|(a, x)| a * x).sum();
+                    let slack = if rng.below(5) < 2 {
+                        0.0
+                    } else {
+                        rng.uniform(0.0, 1.0)
+                    };
+                    let entry = if equalities + 1 < n && rng.below(20) == 0 {
+                        equalities += 1;
+                        (row, Comparison::Eq, at_point)
+                    } else if rng.below(2) == 0 {
+                        (row, Comparison::Ge, at_point - slack)
+                    } else {
+                        (row, Comparison::Le, at_point + slack)
+                    };
+                    fresh.push(entry.clone());
+                    entry
+                }
+            };
+            lp.add_constraint(&row, comparison, rhs);
+        }
+        if infeasible {
+            let row: Vec<f64> = (0..n).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            let reach: f64 = row.iter().map(|a| 4.0 * a.abs()).sum();
+            lp.add_constraint(&row, Comparison::Ge, reach + 1.0);
+        }
+        lp
     }
 
     proptest! {
+        #[test]
+        fn prop_bounded_lps_are_solved_with_an_optimality_certificate(
+            n in 2usize..9,
+            m in 0usize..401,
+            seed in 0usize..1_000_000_000,
+        ) {
+            // Every LP is bounded by its box and feasible at the point its
+            // rows are built around, unless a box-excluding row was added.
+            let infeasible = seed % 7 == 0;
+            let lp = random_bounded_lp(n, m, seed as u64, infeasible);
+            let result = solve_counted(&lp, &mut 0);
+            if infeasible {
+                prop_assert!(
+                    matches!(result, Err(LpError::Infeasible)),
+                    "n {n}, m {m}, seed {seed}: {:?}",
+                    result.map(|o| o.solution)
+                );
+            } else {
+                match result {
+                    Ok(optimum) => assert_certified(&lp, &optimum),
+                    Err(e) => prop_assert!(false, "n {n}, m {m}, seed {seed}: {e}"),
+                }
+            }
+        }
+
         #[test]
         fn prop_lps_built_around_a_known_point_are_feasible(
             seed_rows in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0, -2.0f64..2.0), 5..60),

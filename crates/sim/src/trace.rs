@@ -169,8 +169,8 @@ impl Trace {
     /// samples (always including the first and last sample).
     ///
     /// The LP synthesis only needs a representative subset of each trajectory;
-    /// downsampling keeps the dense simplex tableau small without changing the
-    /// qualitative constraints.
+    /// downsampling bounds the number of LP rows (each one is priced at every
+    /// simplex pivot) without changing the qualitative constraints.
     ///
     /// # Panics
     ///
