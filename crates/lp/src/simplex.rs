@@ -751,6 +751,24 @@ mod tests {
         assert!(lp.is_feasible(solution.values(), 1e-5));
     }
 
+    #[test]
+    fn maximizing_a_margin_variable_prefers_larger_margins() {
+        // minimize -t subject to  x + t <= 5, x >= 1, 0 <= t <= 10.
+        // Optimal t = 4 at x = 1.
+        let sol = solve_lp(
+            2,
+            &[0.0, -1.0],
+            &[
+                (&[1.0, 1.0], Comparison::Le, 5.0),
+                (&[1.0, 0.0], Comparison::Ge, 1.0),
+                (&[0.0, 1.0], Comparison::Ge, 0.0),
+                (&[0.0, 1.0], Comparison::Le, 10.0),
+            ],
+        )
+        .unwrap();
+        assert!((sol.values()[1] - 4.0).abs() < 1e-6, "{sol:?}");
+    }
+
     /// The pinned LPs with their optimal objectives, recorded with the dense
     /// two-phase tableau simplex this solver replaced, and their pivot
     /// counts.
