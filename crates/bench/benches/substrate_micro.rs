@@ -4,6 +4,7 @@
 //! Table 1 time goes as the controller grows.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use nncps_bench::paper_system;
 use nncps_deltasat::{
     contract_clause, CompiledClause, CompiledFormula, Constraint, DeltaSolver, Formula,
 };
@@ -11,7 +12,7 @@ use nncps_dubins::{reference_controller, ErrorDynamics};
 use nncps_expr::{Expr, Tape};
 use nncps_interval::IntervalBox;
 use nncps_lp::{Comparison, LpProblem};
-use nncps_sim::{Integrator, Simulator};
+use nncps_sim::{FnDynamics, Integrator, Simulator};
 
 /// The Lie derivative of the Table-1-style quadratic candidate along the
 /// width-`width` closed loop — the expression the decrease query (5) hands
@@ -504,21 +505,25 @@ fn nn_bench(c: &mut Criterion) {
 }
 
 fn sim_bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate/sim");
-    let dynamics = ErrorDynamics::new(reference_controller(10), 1.0);
-    for (label, integrator) in [
-        ("euler", Integrator::Euler),
-        ("rk4", Integrator::RungeKutta4),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::new("closed_loop_10s", label),
-            &integrator,
-            |b, &integrator| {
-                let simulator = Simulator::new(integrator, 0.05, 10.0);
-                b.iter(|| simulator.simulate(&dynamics, &[0.9, 0.15]).len());
-            },
-        );
-    }
+    // The closed loop the pipeline simulates: the width-100 Dubins field
+    // exported symbolically.  `tree` walks every component with `Expr::eval`
+    // per evaluation (the reference the compiled path must match bit for
+    // bit); `compiled` integrates the system itself, which evaluates its
+    // field through one tape and steps through a per-trace workspace.
+    let system = paper_system(100);
+    let field = system.vector_field();
+    let tree = FnDynamics::new(field.len(), |x: &[f64]| {
+        field.iter().map(|component| component.eval(x)).collect()
+    });
+    let simulator = Simulator::new(Integrator::RungeKutta4, 0.01, 2.0);
+    let mut group = c.benchmark_group("substrate/sim/closed_loop_w100");
+    group.sample_size(20);
+    group.bench_function("tree", |b| {
+        b.iter(|| simulator.simulate(&tree, &[0.9, 0.15]).len());
+    });
+    group.bench_function("compiled", |b| {
+        b.iter(|| simulator.simulate(&system, &[0.9, 0.15]).len());
+    });
     group.finish();
 }
 

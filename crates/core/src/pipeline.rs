@@ -455,7 +455,6 @@ impl Verifier {
         let cfg = &self.config;
 
         let spec = system.spec().clone();
-        let dynamics = system.dynamics();
         let simulator = Simulator::new(Integrator::RungeKutta4, cfg.sim_dt, cfg.sim_duration);
         let solver = DeltaSolver::new(cfg.delta)
             .with_max_boxes(cfg.max_smt_boxes)
@@ -504,7 +503,7 @@ impl Verifier {
         let simulate_seed_traces = || {
             simulator
                 .simulate_until_batch(
-                    &dynamics,
+                    system,
                     &initial_states,
                     |_, s| !domain.contains_point(s),
                     cfg.threads,
@@ -525,7 +524,7 @@ impl Verifier {
                 // at its next step head once the budget trips.  Untripped,
                 // it is bit-identical to the ungoverned batch.
                 match simulator.simulate_until_batch_governed(
-                    &dynamics,
+                    system,
                     &initial_states,
                     |_, s| !domain.contains_point(s),
                     cfg.threads,
@@ -648,7 +647,7 @@ impl Verifier {
                     let sim_start = Instant::now();
                     let simulate_witness_trace = || {
                         vec![simulator
-                            .simulate_until(&dynamics, &witness, |_, s| !domain.contains_point(s))
+                            .simulate_until(system, &witness, |_, s| !domain.contains_point(s))
                             .downsampled(cfg.max_samples_per_trace)]
                     };
                     let witness_traces = match (warm, &sim_key_base) {

@@ -15,6 +15,10 @@ use crate::SafetySpec;
 /// that the deployed dynamics and the solver share one interpretation of the
 /// network weights and activation functions.
 ///
+/// Point evaluation (simulation and [`ClosedLoopSystem::derivative`]) goes
+/// through the field's [`ExprDynamics`], which compiles it once on first use
+/// into a tape bit-identical to the expression trees.
+///
 /// # Examples
 ///
 /// ```
@@ -33,7 +37,7 @@ use crate::SafetySpec;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClosedLoopSystem {
-    vector_field: Vec<Expr>,
+    field: ExprDynamics,
     spec: SafetySpec,
 }
 
@@ -50,14 +54,10 @@ impl ClosedLoopSystem {
             spec.dim(),
             "vector field dimension must match the safety specification"
         );
-        for (i, component) in vector_field.iter().enumerate() {
-            assert!(
-                component.num_vars() <= spec.dim(),
-                "component {i} references a variable outside the {}-dimensional state",
-                spec.dim()
-            );
+        ClosedLoopSystem {
+            field: ExprDynamics::new(vector_field),
+            spec,
         }
-        ClosedLoopSystem { vector_field, spec }
     }
 
     /// Builds the closed loop from any symbolic plant and a safety spec —
@@ -90,12 +90,12 @@ impl ClosedLoopSystem {
 
     /// State dimension.
     pub fn dim(&self) -> usize {
-        self.vector_field.len()
+        self.field.dim()
     }
 
     /// The symbolic vector field `f(x)`.
     pub fn vector_field(&self) -> &[Expr] {
-        &self.vector_field
+        self.field.components()
     }
 
     /// The safety specification.
@@ -105,22 +105,27 @@ impl ClosedLoopSystem {
 
     /// Evaluates the vector field numerically at a point.
     pub fn derivative(&self, state: &[f64]) -> Vec<f64> {
-        self.vector_field.iter().map(|c| c.eval(state)).collect()
+        self.field.derivative(state)
     }
 
-    /// Wraps the vector field into simulatable dynamics.
+    /// The vector field as simulatable dynamics, sharing this system's
+    /// compiled tape.
     pub fn dynamics(&self) -> ExprDynamics {
-        ExprDynamics::new(self.vector_field.clone())
+        self.field.clone()
     }
 }
 
 impl Dynamics for ClosedLoopSystem {
     fn dim(&self) -> usize {
-        self.vector_field.len()
+        self.field.dim()
     }
 
     fn derivative(&self, state: &[f64]) -> Vec<f64> {
-        ClosedLoopSystem::derivative(self, state)
+        self.field.derivative(state)
+    }
+
+    fn derivative_into(&self, state: &[f64], out: &mut [f64], slots: &mut Vec<f64>) {
+        self.field.derivative_into(state, out, slots)
     }
 }
 

@@ -241,7 +241,12 @@ impl Expr {
     /// Returns `1 + max variable index` (the minimum input length accepted by
     /// [`Expr::eval`]), or `0` if the expression contains no variables.
     pub fn num_vars(&self) -> usize {
-        self.variables().last().map_or(0, |&i| i + 1)
+        match self.node() {
+            Node::Const(_) => 0,
+            Node::Var(i) => i + 1,
+            Node::Unary(_, a) | Node::Powi(a, _) => a.num_vars(),
+            Node::Binary(_, a, b) => a.num_vars().max(b.num_vars()),
+        }
     }
 
     /// Number of nodes in the expression tree (a rough size/complexity measure).

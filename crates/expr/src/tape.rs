@@ -51,6 +51,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use nncps_interval::{Interval, IntervalBox};
 
@@ -145,19 +146,22 @@ pub(crate) enum OpCode {
     Powi,
 }
 
-/// Structural hash-consing key: two subtrees with the same key always
-/// evaluate to the same value, so they share one slot.
+/// Structural hash-consing key of a non-constant instruction: two subtrees
+/// with the same key always evaluate to the same value, so they share one
+/// slot.  (Constants have their own table, keyed by [`ConstKey`], which keeps
+/// this key — and the table that holds one entry per instruction — small.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CseKey {
-    /// Constant identified by the exact bits of its scalar value and its
-    /// interval enclosure (a folded constant's enclosure can be wider than a
-    /// literal's singleton, so all three participate in identity).
-    Const(u64, u64, u64),
-    Var(usize),
+    Var(u32),
     Unary(UnaryOp, u32),
     Binary(BinaryOp, u32, u32),
     Powi(u32, i32),
 }
+
+/// Identity of a constant: the exact bits of its scalar value and of its
+/// interval enclosure (a folded constant's enclosure can be wider than a
+/// literal's singleton, so all three participate in identity).
+type ConstKey = (u64, u64, u64);
 
 /// A pattern-matchable view of one tape instruction, analogous to
 /// [`ExprView`](crate::ExprView) but with operands given as slot indices.
@@ -241,8 +245,10 @@ struct Builder {
     rhs: Vec<u32>,
     const_scalars: Vec<f64>,
     const_intervals: Vec<Interval>,
-    /// Structural CSE table.
+    /// Structural CSE table of the non-constant instructions.
     cse: HashMap<CseKey, u32>,
+    /// CSE table of the constants.
+    consts: HashMap<ConstKey, u32>,
     /// `Arc` pointer identity cache: shared subtrees resolve in O(1) without
     /// re-walking them.
     by_ptr: HashMap<usize, u32>,
@@ -251,15 +257,22 @@ struct Builder {
 
 impl Builder {
     fn lower(&mut self, expr: &Expr) -> u32 {
+        // Only a node with several owners can be reached twice, so only such
+        // nodes enter the pointer cache (a repeat visit of any other node
+        // would resolve to the same slot through structural CSE anyway).
+        // Keeping uniquely owned nodes out keeps the map small.
+        let shared = Arc::strong_count(expr.arc_node()) > 1;
         let ptr = expr.node() as *const Node as usize;
-        if let Some(&slot) = self.by_ptr.get(&ptr) {
-            return slot;
+        if shared {
+            if let Some(&slot) = self.by_ptr.get(&ptr) {
+                return slot;
+            }
         }
         let slot = match expr.node() {
             Node::Const(c) => self.add_const(*c, Interval::singleton(*c)),
             Node::Var(i) => {
                 self.num_vars = self.num_vars.max(i + 1);
-                self.add(CseKey::Var(*i), OpCode::Var, *i as u32, 0)
+                self.add(CseKey::Var(*i as u32), OpCode::Var, *i as u32, 0)
             }
             Node::Unary(op, a) => {
                 let a = self.lower(a);
@@ -275,7 +288,9 @@ impl Builder {
                 self.add_powi(a, *n)
             }
         };
-        self.by_ptr.insert(ptr, slot);
+        if shared {
+            self.by_ptr.insert(ptr, slot);
+        }
         slot
     }
 
@@ -289,19 +304,19 @@ impl Builder {
     }
 
     fn add_const(&mut self, scalar: f64, enclosure: Interval) -> u32 {
-        let key = CseKey::Const(
+        let key = (
             scalar.to_bits(),
             enclosure.lo().to_bits(),
             enclosure.hi().to_bits(),
         );
-        if let Some(&slot) = self.cse.get(&key) {
+        if let Some(&slot) = self.consts.get(&key) {
             return slot;
         }
         let index = self.const_scalars.len() as u32;
         self.const_scalars.push(scalar);
         self.const_intervals.push(enclosure);
         let slot = self.push(OpCode::Const, index, 0);
-        self.cse.insert(key, slot);
+        self.consts.insert(key, slot);
         slot
     }
 
@@ -377,12 +392,18 @@ impl Builder {
         }
         let mut slot_map = vec![u32::MAX; self.ops.len()];
         let mut const_map: HashMap<u32, u32> = HashMap::new();
+        // Exact capacities: the tape lives as long as its owner, so it
+        // carries no growth slack.
+        let slots = live.iter().filter(|&&l| l).count();
+        let consts = (0..self.ops.len())
+            .filter(|&i| live[i] && self.ops[i] == OpCode::Const)
+            .count();
         let mut tape = Tape {
-            ops: Vec::new(),
-            lhs: Vec::new(),
-            rhs: Vec::new(),
-            const_scalars: Vec::new(),
-            const_intervals: Vec::new(),
+            ops: Vec::with_capacity(slots),
+            lhs: Vec::with_capacity(slots),
+            rhs: Vec::with_capacity(slots),
+            const_scalars: Vec::with_capacity(consts),
+            const_intervals: Vec::with_capacity(consts),
             roots: Vec::new(),
             num_vars: self.num_vars,
             choice_index: Vec::new(),
@@ -533,7 +554,8 @@ impl Tape {
     }
 
     /// Evaluates every slot at a point, reusing `slots` as the register file
-    /// (it is cleared and refilled; once warm no allocation occurs).
+    /// (it is resized to [`Tape::num_slots`] and overwritten in place; once
+    /// warm no allocation occurs).
     ///
     /// Root values are read back via `slots[self.root_slot(k)]`.
     ///
@@ -543,18 +565,17 @@ impl Tape {
     /// `values`.
     pub fn eval_scalar_into(&self, values: &[f64], slots: &mut Vec<f64>) {
         self.check_scalar_inputs(values.len());
-        slots.clear();
-        slots.reserve(self.ops.len());
-        for i in 0..self.ops.len() {
-            let lhs = self.lhs[i] as usize;
-            let v = match self.ops[i] {
+        slots.resize(self.ops.len(), 0.0);
+        let instrs = self.ops.iter().zip(&self.lhs).zip(&self.rhs);
+        for (i, ((&op, &lhs), &rhs)) in instrs.enumerate() {
+            let lhs = lhs as usize;
+            slots[i] = match op {
                 OpCode::Const => self.const_scalars[lhs],
                 OpCode::Var => values[lhs],
                 OpCode::Unary(op) => op.apply(slots[lhs]),
-                OpCode::Binary(op) => op.apply(slots[lhs], slots[self.rhs[i] as usize]),
-                OpCode::Powi => slots[lhs].powi(self.rhs[i] as i32),
+                OpCode::Binary(op) => op.apply(slots[lhs], slots[rhs as usize]),
+                OpCode::Powi => slots[lhs].powi(rhs as i32),
             };
-            slots.push(v);
         }
     }
 

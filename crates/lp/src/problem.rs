@@ -35,13 +35,6 @@ pub enum LpError {
     Infeasible,
     /// The objective is unbounded below on the feasible region.
     Unbounded,
-    /// A constraint row or the objective has the wrong number of coefficients.
-    DimensionMismatch {
-        /// Expected number of variables.
-        expected: usize,
-        /// Number of coefficients supplied.
-        found: usize,
-    },
     /// The simplex iteration limit was exceeded or the basis became
     /// singular (numerically pathological input).
     IterationLimit,
@@ -52,10 +45,6 @@ impl fmt::Display for LpError {
         match self {
             LpError::Infeasible => write!(f, "linear program is infeasible"),
             LpError::Unbounded => write!(f, "linear program is unbounded"),
-            LpError::DimensionMismatch { expected, found } => write!(
-                f,
-                "constraint has {found} coefficients but the problem has {expected} variables"
-            ),
             LpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
         }
     }
@@ -261,11 +250,6 @@ mod tests {
         assert!(LpError::Infeasible.to_string().contains("infeasible"));
         assert!(LpError::Unbounded.to_string().contains("unbounded"));
         assert!(LpError::IterationLimit.to_string().contains("iteration"));
-        let e = LpError::DimensionMismatch {
-            expected: 3,
-            found: 2,
-        };
-        assert!(e.to_string().contains('3'));
     }
 
     #[test]

@@ -76,9 +76,14 @@ where
                 })
             })
             .collect();
+        // A worker's panic resumes on the caller's thread with its own
+        // payload, exactly as it would have surfaced on the sequential path.
         per_worker = handles
             .into_iter()
-            .map(|h| h.join().expect("parallel map worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
             .collect();
     });
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
@@ -184,6 +189,20 @@ mod tests {
         let empty: Vec<i32> = Vec::new();
         assert!(parallel_map(&empty, 4, |&x| x).is_empty());
         assert_eq!(parallel_map(&[5], 4, |&x| x + 1), vec![6]);
+    }
+
+    #[test]
+    fn worker_panics_keep_their_payload() {
+        for threads in [1, 4] {
+            let crash = catch_crash(|| {
+                parallel_map(&[1, 2, 3, 4], threads, |&x| {
+                    assert_ne!(x, 3, "item three");
+                    x
+                })
+            })
+            .unwrap_err();
+            assert!(crash.payload.contains("item three"), "{threads} threads");
+        }
     }
 
     #[test]

@@ -1,12 +1,22 @@
 //! The `Dynamics` trait and its standard implementations.
 
-use nncps_expr::Expr;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
+use nncps_expr::{Expr, Tape};
 
 /// An autonomous continuous-time system `ẋ = f(x)`.
 ///
 /// The closed-loop models produced by composing a plant with a neural-network
 /// controller (Equation (4) of the paper) are autonomous, so the trait does
 /// not carry an explicit time argument.
+///
+/// Symbolic fields ([`ExprDynamics`], and the verifier's closed loop built on
+/// it) are compiled once, on their first evaluation, into a tape that is
+/// bit-identical to walking the expression trees; through
+/// [`Dynamics::derivative_into`] and a reused
+/// [`StepWorkspace`](crate::StepWorkspace) an integration step over such a
+/// field performs no heap allocation.
 pub trait Dynamics {
     /// Dimension of the state vector.
     fn dim(&self) -> usize;
@@ -16,6 +26,19 @@ pub trait Dynamics {
     /// Implementations may assume `state.len() == self.dim()` and must return
     /// a vector of the same length.
     fn derivative(&self, state: &[f64]) -> Vec<f64>;
+
+    /// Evaluates the vector field at `state` into `out` (`out.len() ==
+    /// self.dim()`), using `slots` as caller-owned evaluation scratch.
+    ///
+    /// This is the form the integrators call: with the scratch reused across
+    /// steps, a compiled field ([`ExprDynamics`]) evaluates without heap
+    /// allocation.  The default implementation copies
+    /// [`Dynamics::derivative`] and ignores `slots`; the result must be
+    /// bit-identical to [`Dynamics::derivative`] either way.
+    fn derivative_into(&self, state: &[f64], out: &mut [f64], slots: &mut Vec<f64>) {
+        let _ = slots;
+        out.copy_from_slice(&self.derivative(state));
+    }
 }
 
 /// Dynamics defined by a plain Rust closure.
@@ -69,6 +92,13 @@ impl<F> std::fmt::Debug for FnDynamics<F> {
 /// the *same* mathematical object — the consistency requirement the paper
 /// discusses at the end of Section 3.
 ///
+/// The field is evaluated through one multi-root [`Tape`] shared by all
+/// components, compiled once on the first evaluation (never in the
+/// constructor, so a field that is never simulated costs no compile).  The
+/// tape is bit-identical to walking the expression trees with
+/// [`Expr::eval`], and [`Dynamics::derivative_into`] with a warm scratch
+/// performs no heap allocation.
+///
 /// # Examples
 ///
 /// ```
@@ -80,9 +110,13 @@ impl<F> std::fmt::Debug for FnDynamics<F> {
 /// let oscillator = ExprDynamics::new(vec![v, -x]);
 /// assert_eq!(oscillator.derivative(&[0.0, 1.0]), vec![1.0, -0.0]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ExprDynamics {
     components: Vec<Expr>,
+    /// The components compiled into one tape (root `k` is component `k`),
+    /// filled on the first evaluation.  Clones share the cell, so a cloned
+    /// field compiles at most once between all of its copies.
+    tape: Arc<OnceLock<Tape>>,
 }
 
 impl ExprDynamics {
@@ -97,16 +131,33 @@ impl ExprDynamics {
         for (i, c) in components.iter().enumerate() {
             assert!(
                 c.num_vars() <= dim,
-                "component {i} references variable x{} but the state has {dim} dimensions",
+                "component {i} references variable x{} outside the {dim}-dimensional state",
                 c.num_vars() - 1
             );
         }
-        ExprDynamics { components }
+        ExprDynamics {
+            components,
+            tape: Arc::new(OnceLock::new()),
+        }
     }
 
     /// The symbolic components of the vector field.
     pub fn components(&self) -> &[Expr] {
         &self.components
+    }
+
+    /// The compiled field, compiling it on first use.
+    fn tape(&self) -> &Tape {
+        self.tape
+            .get_or_init(|| Tape::compile_many(&self.components))
+    }
+}
+
+impl fmt::Debug for ExprDynamics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ExprDynamics")
+            .field("components", &self.components)
+            .finish_non_exhaustive()
     }
 }
 
@@ -116,7 +167,17 @@ impl Dynamics for ExprDynamics {
     }
 
     fn derivative(&self, state: &[f64]) -> Vec<f64> {
-        self.components.iter().map(|c| c.eval(state)).collect()
+        let mut out = vec![0.0; self.dim()];
+        self.derivative_into(state, &mut out, &mut Vec::new());
+        out
+    }
+
+    fn derivative_into(&self, state: &[f64], out: &mut [f64], slots: &mut Vec<f64>) {
+        let tape = self.tape();
+        tape.eval_scalar_into(state, slots);
+        for (k, value) in out.iter_mut().enumerate() {
+            *value = slots[tape.root_slot(k)];
+        }
     }
 }
 
@@ -164,6 +225,10 @@ impl<D: Dynamics + ?Sized> Dynamics for &D {
 
     fn derivative(&self, state: &[f64]) -> Vec<f64> {
         (**self).derivative(state)
+    }
+
+    fn derivative_into(&self, state: &[f64], out: &mut [f64], slots: &mut Vec<f64>) {
+        (**self).derivative_into(state, out, slots)
     }
 }
 

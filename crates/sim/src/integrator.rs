@@ -28,60 +28,141 @@ pub enum Integrator {
 }
 
 impl Integrator {
-    /// Advances the state by one step of size `dt`.
+    /// Advances the state by one step of size `dt`, returning the new state.
+    ///
+    /// A convenience wrapper over [`Integrator::step_in_place`] with a fresh
+    /// workspace; loops should keep one [`StepWorkspace`] and step in place.
     ///
     /// # Panics
     ///
     /// Panics if `dt` is not strictly positive or `state.len()` differs from
     /// the dynamics dimension.
     pub fn step<D: Dynamics + ?Sized>(&self, dynamics: &D, state: &[f64], dt: f64) -> Vec<f64> {
+        let mut next = state.to_vec();
+        self.step_in_place(dynamics, &mut next, dt, &mut StepWorkspace::default());
+        next
+    }
+
+    /// Advances `state` in place by one step of size `dt`, with `workspace`
+    /// holding every intermediate buffer.
+    ///
+    /// Once the workspace has been through one step of this dimension, the
+    /// Euler, midpoint and RK4 schemes perform no heap allocation (provided
+    /// the dynamics' [`Dynamics::derivative_into`] does not allocate, as for
+    /// [`ExprDynamics`](crate::ExprDynamics)); the adaptive RKF45 scheme
+    /// still allocates its stages.  The result is bit-identical to
+    /// [`Integrator::step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is not strictly positive or `state.len()` differs from
+    /// the dynamics dimension.
+    pub fn step_in_place<D: Dynamics + ?Sized>(
+        &self,
+        dynamics: &D,
+        state: &mut [f64],
+        dt: f64,
+        workspace: &mut StepWorkspace,
+    ) {
         assert!(dt > 0.0, "step size must be positive");
         assert_eq!(
             state.len(),
             dynamics.dim(),
             "state dimension must match the dynamics"
         );
+        workspace.fit(state.len());
         match *self {
-            Integrator::Euler => euler_step(dynamics, state, dt),
-            Integrator::Midpoint => midpoint_step(dynamics, state, dt),
-            Integrator::RungeKutta4 => rk4_step(dynamics, state, dt),
+            Integrator::Euler => euler_step(dynamics, state, dt, workspace),
+            Integrator::Midpoint => midpoint_step(dynamics, state, dt, workspace),
+            Integrator::RungeKutta4 => rk4_step(dynamics, state, dt, workspace),
             Integrator::RungeKuttaFehlberg45 { tolerance } => {
-                rkf45_step(dynamics, state, dt, tolerance)
+                let next = rkf45_step(dynamics, state, dt, tolerance);
+                state.copy_from_slice(&next);
             }
         }
     }
 }
 
-fn axpy(state: &[f64], scale: f64, direction: &[f64]) -> Vec<f64> {
-    state
-        .iter()
-        .zip(direction.iter())
-        .map(|(x, d)| x + scale * d)
-        .collect()
+/// Reusable buffers for [`Integrator::step_in_place`]: the stage
+/// derivatives `k1..k4`, the stage point, and the dynamics' evaluation slots.
+///
+/// A simulation owns one workspace per trace, so consecutive steps reuse the
+/// same memory and a step through a warm workspace allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct StepWorkspace {
+    k1: Vec<f64>,
+    k2: Vec<f64>,
+    k3: Vec<f64>,
+    k4: Vec<f64>,
+    stage: Vec<f64>,
+    slots: Vec<f64>,
 }
 
-fn euler_step<D: Dynamics + ?Sized>(dynamics: &D, state: &[f64], dt: f64) -> Vec<f64> {
-    let k1 = dynamics.derivative(state);
-    axpy(state, dt, &k1)
+impl StepWorkspace {
+    /// Sizes the stage buffers for `dim`-dimensional states (a no-op when
+    /// they already fit).
+    fn fit(&mut self, dim: usize) {
+        for buffer in [
+            &mut self.k1,
+            &mut self.k2,
+            &mut self.k3,
+            &mut self.k4,
+            &mut self.stage,
+        ] {
+            buffer.resize(dim, 0.0);
+        }
+    }
 }
 
-fn midpoint_step<D: Dynamics + ?Sized>(dynamics: &D, state: &[f64], dt: f64) -> Vec<f64> {
-    let k1 = dynamics.derivative(state);
-    let mid = axpy(state, dt / 2.0, &k1);
-    let k2 = dynamics.derivative(&mid);
-    axpy(state, dt, &k2)
+/// `out = state + scale * direction`, component by component.
+fn axpy_into(out: &mut [f64], state: &[f64], scale: f64, direction: &[f64]) {
+    for ((o, x), d) in out.iter_mut().zip(state).zip(direction) {
+        *o = x + scale * d;
+    }
 }
 
-fn rk4_step<D: Dynamics + ?Sized>(dynamics: &D, state: &[f64], dt: f64) -> Vec<f64> {
-    let k1 = dynamics.derivative(state);
-    let k2 = dynamics.derivative(&axpy(state, dt / 2.0, &k1));
-    let k3 = dynamics.derivative(&axpy(state, dt / 2.0, &k2));
-    let k4 = dynamics.derivative(&axpy(state, dt, &k3));
-    state
-        .iter()
-        .enumerate()
-        .map(|(i, x)| x + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
-        .collect()
+fn euler_step<D: Dynamics + ?Sized>(
+    dynamics: &D,
+    state: &mut [f64],
+    dt: f64,
+    ws: &mut StepWorkspace,
+) {
+    dynamics.derivative_into(state, &mut ws.k1, &mut ws.slots);
+    for (x, k1) in state.iter_mut().zip(&ws.k1) {
+        *x += dt * k1;
+    }
+}
+
+fn midpoint_step<D: Dynamics + ?Sized>(
+    dynamics: &D,
+    state: &mut [f64],
+    dt: f64,
+    ws: &mut StepWorkspace,
+) {
+    dynamics.derivative_into(state, &mut ws.k1, &mut ws.slots);
+    axpy_into(&mut ws.stage, state, dt / 2.0, &ws.k1);
+    dynamics.derivative_into(&ws.stage, &mut ws.k2, &mut ws.slots);
+    for (x, k2) in state.iter_mut().zip(&ws.k2) {
+        *x += dt * k2;
+    }
+}
+
+fn rk4_step<D: Dynamics + ?Sized>(
+    dynamics: &D,
+    state: &mut [f64],
+    dt: f64,
+    ws: &mut StepWorkspace,
+) {
+    dynamics.derivative_into(state, &mut ws.k1, &mut ws.slots);
+    axpy_into(&mut ws.stage, state, dt / 2.0, &ws.k1);
+    dynamics.derivative_into(&ws.stage, &mut ws.k2, &mut ws.slots);
+    axpy_into(&mut ws.stage, state, dt / 2.0, &ws.k2);
+    dynamics.derivative_into(&ws.stage, &mut ws.k3, &mut ws.slots);
+    axpy_into(&mut ws.stage, state, dt, &ws.k3);
+    dynamics.derivative_into(&ws.stage, &mut ws.k4, &mut ws.slots);
+    for (i, x) in state.iter_mut().enumerate() {
+        *x += dt / 6.0 * (ws.k1[i] + 2.0 * ws.k2[i] + 2.0 * ws.k3[i] + ws.k4[i]);
+    }
 }
 
 /// One outer step of the adaptive RKF45 scheme: internally subdivides until

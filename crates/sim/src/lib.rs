@@ -11,9 +11,15 @@
 //!   expressions ([`ExprDynamics`]) so the *same* expression tree used in the
 //!   SMT queries can also drive the simulator,
 //! * fixed-step explicit integrators (Euler, midpoint, classic RK4) and an
-//!   adaptive Runge–Kutta–Fehlberg 4(5) integrator ([`Integrator`]),
+//!   adaptive Runge–Kutta–Fehlberg 4(5) integrator ([`Integrator`]), which
+//!   step in place through a reusable [`StepWorkspace`],
 //! * the [`Trace`] type storing time-stamped states, and
 //! * a [`Simulator`] that wires it all together.
+//!
+//! A symbolic field is compiled once, on its first evaluation, into a flat
+//! [`Tape`](nncps_expr::Tape) whose results are bit-identical to walking the
+//! expression trees; the simulator keeps one [`StepWorkspace`] per trace, so
+//! an RK4 step through a compiled field performs no heap allocation.
 //!
 //! With the `parallel` feature (on by default), batches of traces from
 //! different initial states — which are embarrassingly parallel — can be
@@ -43,7 +49,7 @@ mod simulator;
 mod trace;
 
 pub use dynamics::{Dynamics, ExprDynamics, FnDynamics, SymbolicDynamics};
-pub use integrator::Integrator;
+pub use integrator::{Integrator, StepWorkspace};
 pub use nncps_parallel::{effective_threads, parallel_map};
 pub use simulator::Simulator;
 pub use trace::{Sample, Trace};

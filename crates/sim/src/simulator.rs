@@ -1,6 +1,6 @@
 //! The `Simulator` driver that produces traces from dynamics.
 
-use crate::{Dynamics, Integrator, Trace};
+use crate::{Dynamics, Integrator, StepWorkspace, Trace};
 use nncps_parallel::{Budget, ExhaustionReason};
 
 /// A fixed-horizon simulator producing [`Trace`]s of a [`Dynamics`] model.
@@ -74,6 +74,10 @@ impl Simulator {
     /// that leave the domain of interest, mirroring how the paper only uses
     /// samples inside `D`.
     ///
+    /// The trace owns one [`StepWorkspace`] for its whole run, so the
+    /// integration steps themselves allocate nothing after the first; only
+    /// the recorded samples are allocated.
+    ///
     /// # Panics
     ///
     /// Panics if the initial state dimension does not match the dynamics.
@@ -88,6 +92,7 @@ impl Simulator {
             "initial state dimension must match the dynamics"
         );
         let mut trace = Trace::new(dynamics.dim());
+        let mut workspace = StepWorkspace::default();
         let mut state = initial_state.to_vec();
         let mut time = 0.0;
         trace.push(time, state.clone());
@@ -96,7 +101,8 @@ impl Simulator {
         }
         for _ in 0..self.num_steps() {
             nncps_fault::panic_point(nncps_fault::SITE_SIM_STEP);
-            state = self.integrator.step(dynamics, &state, self.dt);
+            self.integrator
+                .step_in_place(dynamics, &mut state, self.dt, &mut workspace);
             if let Some(first) = state.first_mut() {
                 // Fault site: an armed `nan` fault corrupts one state
                 // component; the domain stop predicate then truncates the
