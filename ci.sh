@@ -40,9 +40,10 @@ cargo clippy --all-targets -- -D warnings
 # e2e_bench/ is a cargo package of its own that builds against this
 # workspace through path dependencies.  Build it and run its unit tests
 # here, so a library API change that breaks the benchmark fails CI instead
-# of the benchmark run.  The package is frozen: its four uses of the
-# deprecated no-op solver knobs (`with_threads`, `with_batched_evaluation`,
-# `smt_threads`, `smt_batched_evaluation`) print deprecation warnings here.
+# of the benchmark run.  The package is frozen: its uses of the deprecated
+# no-ops (`with_threads`, `with_batched_evaluation`, `smt_threads`,
+# `smt_batched_evaluation`, `CompiledFormula::ensure_gradients`) print
+# deprecation warnings here.
 echo "==> e2e_bench: build + unit tests against the current library"
 if [ "$quick" != "quick" ]; then
     cargo test -q --release --manifest-path e2e_bench/Cargo.toml
@@ -180,19 +181,17 @@ else
 fi
 
 if [ "$quick" != "quick" ]; then
-    echo "==> bench smoke: tape-vs-tree + specialization microbenches"
+    echo "==> bench smoke: tape-vs-tree microbenches"
     cargo bench --bench substrate_micro -- substrate/tape_vs_tree
-    cargo bench --bench substrate_micro -- substrate/specialize/eval_box
 else
     echo "==> bench smoke: (skipped in quick mode)"
 fi
 
 # --- bench-regression -------------------------------------------------------
-# Re-measure the headline benches — the decrease query (region
-# specialization + derivative-guided cuts on), the pre-compiled
-# specialized+newton path, and the PR 5 warm-start family sweep — and fail
-# if any median regresses more than 25% against the BENCH_pr5.json record
-# (tolerance overridable via NNCPS_BENCH_TOLERANCE_PCT for noisy hosts).
+# Re-measure the headline benches — the decrease query and the warm-start
+# family sweep — and fail if either median regresses more than
+# 25% against the BENCH_pr5.json record (tolerance overridable via
+# NNCPS_BENCH_TOLERANCE_PCT for noisy hosts).
 if [ "$quick" != "quick" ]; then
     echo "==> bench-regression: headline benches vs BENCH_pr5.json"
     # Absolute path: cargo runs bench binaries with the *package* directory
@@ -202,30 +201,12 @@ if [ "$quick" != "quick" ]; then
     CRITERION_JSON="$bench_json" \
         cargo bench --bench substrate_micro -- "substrate/deltasat/decrease_query/50"
     CRITERION_JSON="$bench_json" \
-        cargo bench --bench substrate_micro -- "substrate/specialize/decrease_query_50"
-    CRITERION_JSON="$bench_json" \
         cargo bench --bench substrate_micro -- "substrate/family_sweep"
     cargo run --release -p nncps_bench --bin bench-compare -- \
         "$bench_json" BENCH_pr5.json
     cargo run --release -p nncps_bench --bin bench-compare -- \
-        --bench "substrate/specialize/decrease_query_50/specialized_newton" \
-        "$bench_json" BENCH_pr5.json
-    cargo run --release -p nncps_bench --bin bench-compare -- \
         --bench "substrate/family_sweep/warm_24" \
         "$bench_json" BENCH_pr5.json
-
-    # PR 10: choice-trace-driven respecialization.  The delta step (recorded
-    # choice trace + single emit pass over the parent view) is held to >= 2x
-    # over the full three-pass rederivation it replaced, measured within this
-    # run on the deep ReLU ladder — the compiled-NN-controller workload the
-    # incremental path exists for.
-    echo "==> bench-regression: choice-trace respecialization speedup"
-    CRITERION_JSON="$bench_json" \
-        cargo bench --bench substrate_micro -- "substrate/choice_spec/deep_relu/"
-    cargo run --release -p nncps_bench --bin bench-compare -- \
-        "$bench_json" --speedup \
-        "substrate/choice_spec/deep_relu/rederive" \
-        "substrate/choice_spec/deep_relu/delta" --min 2
 
     # Closed-loop simulation: RK4 over the width-100 Dubins field through
     # the compiled tape and a per-trace workspace is held to >= 1.5x over the

@@ -2,10 +2,11 @@
 //!
 //! Reads the JSON-lines file the criterion shim writes when `CRITERION_JSON`
 //! is set, looks the same benchmark up in a checked-in baseline record
-//! (`BENCH_pr4.json`; older `BENCH_pr2.json`-layout records still parse),
-//! and fails when the current median per-iteration time regresses beyond
-//! the tolerance.  `ci.sh` runs it twice: once for the default headline and
-//! once with `--bench substrate/specialize/decrease_query_50/specialized_newton`.
+//! (such as `BENCH_pr5.json`; older `BENCH_pr2.json`-layout records still
+//! parse), and fails when the current median per-iteration time regresses
+//! beyond the tolerance.  `ci.sh` runs it for the default headline, for
+//! `--bench substrate/family_sweep/warm_24`, and for the governed solver
+//! lane.
 //!
 //! ```text
 //! CRITERION_JSON=target/bench_current.jsonl \
@@ -22,8 +23,8 @@
 //! A second mode gates a *speedup within one run* instead of a regression
 //! against a baseline: `bench-compare CURRENT.jsonl --speedup SLOW FAST
 //! [--min RATIO]` fails unless `median(SLOW) / median(FAST) ≥ RATIO`
-//! (default 2).  ci.sh uses it to hold the choice-trace respecialization
-//! delta step to its ≥2× headline against the full rederivation.
+//! (default 2).  ci.sh uses it to hold the compiled closed-loop simulation
+//! to ≥1.5× over the tree-walking reference.
 //!
 //! A third mode gates an *overhead within one run*: `bench-compare
 //! CURRENT.jsonl --overhead BASE CANDIDATE [--max-pct PCT]` fails unless

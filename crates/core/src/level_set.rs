@@ -135,13 +135,7 @@ impl LevelSetSelector {
     ) -> (LevelSetResult, SolverStats) {
         let compile = |formula: &nncps_deltasat::Formula| match cache {
             Some(cache) => cache.compile(formula),
-            None => {
-                let compiled = CompiledFormula::compile(formula);
-                // Gradient bundles (for the solver's derivative-guided cuts)
-                // of the quadratic W are tiny; build them with the tape.
-                compiled.ensure_gradients();
-                std::sync::Arc::new(compiled)
-            }
+            None => std::sync::Arc::new(CompiledFormula::compile(formula)),
         };
         let mut stats = SolverStats::default();
         let Some((mut low, mut high)) = self.bracket(generator, spec) else {

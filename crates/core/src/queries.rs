@@ -91,10 +91,8 @@ impl<'a> QueryBuilder<'a> {
     /// pre-activation across the chain-rule terms; compiling the query up
     /// front deduplicates them once, outside the pipeline's timed SMT
     /// section, and each clause of the decrease query shares one evaluation
-    /// tape.  The gradient bundles that power the solver's derivative-guided
-    /// cuts (symbolic differentiation of every clause constraint, lowered
-    /// through the same CSE compiler) are built here too, so the timed
-    /// branch-and-prune section starts with everything lowered.
+    /// tape, so the timed branch-and-prune section starts with everything
+    /// lowered.
     ///
     /// # Examples
     ///
@@ -121,9 +119,7 @@ impl<'a> QueryBuilder<'a> {
         generator: &GeneratorFunction,
     ) -> (CompiledFormula, IntervalBox) {
         let (formula, domain) = self.decrease_query(generator);
-        let compiled = CompiledFormula::compile(&formula);
-        compiled.ensure_gradients();
-        (compiled, domain)
+        (CompiledFormula::compile(&formula), domain)
     }
 
     /// Query (6): the negated initial-set containment `∃x ∈ X0 : W(x) > ℓ`,

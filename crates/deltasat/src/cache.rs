@@ -6,9 +6,8 @@
 //! differ only in boxes, solver precision, or thread counts re-derive the
 //! *same* decrease query (the Lie derivative of the same candidate over the
 //! same closed loop) and the same level-set confirmation queries.  Compiling
-//! a query — DNF conversion, CSE tape lowering, symbolic differentiation of
-//! every constraint for the gradient bundles — is pure per-structure work,
-//! so [`CompilationCache`] memoizes it: the key is a 128-bit
+//! a query — DNF conversion and CSE tape lowering — is pure per-structure
+//! work, so [`CompilationCache`] memoizes it: the key is a 128-bit
 //! [`Fingerprint`] over every bit the compiled artifact depends on (Boolean
 //! structure, relations, bound bits, and the full expression DAGs), and the
 //! value is the finished [`CompiledFormula`] behind an [`Arc`], shared
@@ -74,9 +73,8 @@ impl CompilationCache {
     }
 
     /// Compiles a formula through the cache: on a hit the previously
-    /// compiled artifact (gradient bundles included) is returned; on a miss
-    /// the formula is compiled with [`CompiledFormula::compile`], its
-    /// gradient bundles are built eagerly, and the artifact is stored.
+    /// compiled artifact is returned; on a miss the formula is compiled with
+    /// [`CompiledFormula::compile`] and the artifact is stored.
     pub fn compile(&self, formula: &Formula) -> Arc<CompiledFormula> {
         let key = Self::fingerprint(formula);
         // Poisoned locks are recovered, not propagated: every cached value
@@ -92,13 +90,11 @@ impl CompilationCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(found);
         }
-        // Compile outside the lock: misses can be expensive (symbolic
-        // differentiation of NN-sized queries) and other workers should not
-        // serialize behind them.  If two workers race on the same key the
-        // loser's artifact is dropped — both are behaviourally identical.
-        let compiled = CompiledFormula::compile(formula);
-        compiled.ensure_gradients();
-        let compiled = Arc::new(compiled);
+        // Compile outside the lock: lowering an NN-sized query to a tape
+        // takes milliseconds and other workers should not serialize behind
+        // it.  If two workers race on the same key the loser's artifact is
+        // dropped — both are behaviourally identical.
+        let compiled = Arc::new(CompiledFormula::compile(formula));
         let mut map = self.formulas.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = map.entry(key).or_insert_with(|| Arc::clone(&compiled));
         self.misses.fetch_add(1, Ordering::Relaxed);

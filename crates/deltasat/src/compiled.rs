@@ -15,43 +15,25 @@
 //!   recorded values — O(n) per revise instead of the O(n²) of re-evaluating
 //!   subtrees at every node.
 //!
-//! Both operations can also run over a region-specialized [`TapeView`]
-//! (see [`nncps_expr::specialize`]): the solver derives shortened views on
-//! descent, so the per-box cost shrinks as boxes shrink, and constraints
-//! proven satisfied on a region are dropped from the sweep entirely.
-//!
-//! On top of the value tape, a clause can lazily compile a **gradient
-//! bundle** — the partial derivatives of every constraint expression,
-//! produced by [`Expr::differentiate`] and lowered through the same CSE tape
-//! compiler — which powers the solver's derivative-guided contraction
-//! ([`CompiledClause::derivative_cuts`]): monotonicity cuts collapse
-//! dimensions on which every undecided constraint is monotone, and an
-//! interval-Newton step narrows equality constraints.
-//!
 //! All scratch state lives in a caller-owned [`ClauseScratch`], so the
 //! steady-state per-box loop performs **zero heap allocations**.
 //!
 //! # Determinism
 //!
-//! Plain evaluation (with or without a specialized view) is bit-identical to
-//! the tree-walking reference: the same verdicts, the same narrowed domains,
-//! in the same visit order as [`hc4_revise`](crate::hc4_revise) /
+//! Evaluation is bit-identical to the tree-walking reference: the same
+//! verdicts, the same narrowed domains, in the same visit order as
+//! [`hc4_revise`](crate::hc4_revise) /
 //! [`contract_clause`](crate::contract_clause) and
 //! [`Constraint::feasibility`].  The solver exploits this to offer a
 //! differential-testing mode
 //! ([`DeltaSolver::with_tree_evaluator`](crate::DeltaSolver::with_tree_evaluator))
-//! that explores exactly the same box tree.  Derivative-guided cuts *do*
-//! change the search tree (that is their point — fewer boxes); they are a
-//! solver-level option with a bit-identical opt-out
-//! ([`DeltaSolver::with_newton_cuts`](crate::DeltaSolver::with_newton_cuts)).
+//! that explores exactly the same box tree.
 
-use std::sync::OnceLock;
-
-use nncps_expr::{Choice, ChoiceAnalysis, Expr, SpecializeScratch, Tape, TapeInstr, TapeView};
+use nncps_expr::{Expr, Tape, TapeInstr};
 use nncps_interval::{Interval, IntervalBox};
 
 use crate::contractor::{invert_binary, invert_powi, invert_unary, total_width};
-use crate::{Constraint, Feasibility, Formula, Relation};
+use crate::{Constraint, Feasibility, Formula};
 
 /// One constraint of a compiled clause: the tape slot of its expression plus
 /// the data needed for classification and contraction.
@@ -73,144 +55,32 @@ pub enum ClauseFeasibility {
     Undecided,
 }
 
-/// Outcome of one derivative-guided contraction attempt
-/// ([`CompiledClause::derivative_cuts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CutOutcome {
-    /// No cut applied; the box (and all recorded scratch state) is unchanged.
-    Unchanged,
-    /// At least one dimension was narrowed or collapsed.
-    Narrowed,
-    /// A Newton step proved an equality constraint has no solution in the
-    /// box.
-    Infeasible,
-}
-
-/// Reusable scratch buffers for evaluating, contracting, and cutting a
-/// compiled clause.
+/// Reusable scratch buffers for evaluating and contracting a compiled
+/// clause.
 ///
 /// Create one per worker with [`CompiledClause::scratch`] and pass it to
 /// every call; the buffers grow to a high-water mark on first use and are
 /// reused allocation-free afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct ClauseScratch {
-    /// Forward interval value of every program slot (tape or view).
+    /// Forward interval value of every tape slot.
     slots: Vec<Interval>,
     /// How many leading `slots` are valid for the *current* region bits —
     /// the forward-sweep cache: revises and the final classification of one
     /// propagation pass share a single incrementally grown sweep, reset
     /// whenever any variable domain changes.
     valid: usize,
-    /// Choice trace of the current forward sweep: per choice-site id of the
-    /// parent tape, the `min`/`max`/`abs` resolution last observed
-    /// (recorded at zero marginal cost by the recording sweep; consumed by
-    /// [`CompiledClause::respecialize`]).
-    choices: Vec<Choice>,
     /// Backward work stack of `(slot, required)` pairs.
     stack: Vec<(usize, Interval)>,
-    /// Per-atom verdict recorded by the last feasibility sweep.
-    atom_status: Vec<Feasibility>,
-    /// Root-keep mask assembled for re-specialization.
-    keep_roots: Vec<bool>,
-    /// Forward values of the gradient-bundle tape.
-    grad_slots: Vec<Interval>,
-    /// Forward values of the value tape at the box midpoint (Newton step).
-    point_slots: Vec<Interval>,
-    /// The box midpoint (Newton step).
-    mid: Vec<f64>,
-    /// Degenerate box at the midpoint (Newton step).
-    point_box: IntervalBox,
     /// Instrumentation: tape instructions executed through this scratch.
     pub(crate) instructions_executed: usize,
-    /// Instrumentation: Σ of active program lengths over processed boxes.
-    pub(crate) specialized_tape_len_sum: usize,
-    /// Instrumentation: derivative-guided cuts applied.
-    pub(crate) newton_cuts: usize,
 }
 
-impl ClauseScratch {
-    /// Moves the instrumentation counters out of the scratch (resetting
-    /// them), so the solver can fold them into its statistics.
-    pub(crate) fn take_counters(&mut self) -> (usize, usize, usize) {
-        let counters = (
-            self.instructions_executed,
-            self.specialized_tape_len_sum,
-            self.newton_cuts,
-        );
-        self.instructions_executed = 0;
-        self.specialized_tape_len_sum = 0;
-        self.newton_cuts = 0;
-        counters
-    }
-}
-
-/// The active evaluation program: the full tape or a specialized view of it.
-#[derive(Clone, Copy)]
-enum Prog<'a> {
-    Tape(&'a Tape),
-    View(&'a Tape, &'a TapeView),
-}
-
-impl Prog<'_> {
-    fn len(self) -> usize {
-        match self {
-            Prog::Tape(tape) => tape.num_slots(),
-            Prog::View(_, view) => view.len(),
-        }
-    }
-
-    fn instr(self, slot: usize) -> TapeInstr {
-        match self {
-            Prog::Tape(tape) => tape.instr(slot),
-            Prog::View(tape, view) => view.instr(tape, slot),
-        }
-    }
-
-    fn root_slot(self, k: usize) -> Option<usize> {
-        match self {
-            Prog::Tape(tape) => Some(tape.root_slot(k)),
-            Prog::View(_, view) => view.root_slot(k),
-        }
-    }
-
-    fn num_choices(self) -> usize {
-        match self {
-            Prog::Tape(tape) | Prog::View(tape, _) => tape.num_choices(),
-        }
-    }
-
-    fn extend(self, region: &IntervalBox, slots: &mut Vec<Interval>, count: usize) {
-        match self {
-            Prog::Tape(tape) => tape.eval_interval_extend_into(region, slots, count),
-            Prog::View(tape, view) => view.eval_interval_extend_into(tape, region, slots, count),
-        }
-    }
-
-    fn extend_recording(
-        self,
-        region: &IntervalBox,
-        slots: &mut Vec<Interval>,
-        count: usize,
-        choices: &mut [Choice],
-    ) {
-        match self {
-            Prog::Tape(tape) => {
-                tape.eval_interval_extend_into_recording(region, slots, count, choices)
-            }
-            Prog::View(tape, view) => {
-                view.eval_interval_extend_into_recording(tape, region, slots, count, choices)
-            }
-        }
-    }
-}
-
-/// The single definition of "this instruction cannot clip variable
-/// domains": only `sqrt` and `ln` have HC4 inversions that narrow their
-/// operand even when the requirement envelops the recorded value (they clip
-/// to the function's domain), so a slot is clip-free iff it is not one of
-/// those and all of its operands are.  Both the full-tape analysis at
-/// compile time and the per-view recomputation call this — keep the
-/// operator list in exactly one place.
+/// Whether an instruction cannot clip variable domains: only `sqrt` and
+/// `ln` have HC4 inversions that narrow their operand even when the
+/// requirement envelops the recorded value (they clip to the function's
+/// domain), so a slot is clip-free iff it is not one of those and all of its
+/// operands are.
 fn instr_clip_free(instr: TapeInstr, flags: &[bool]) -> bool {
     match instr {
         TapeInstr::Const(..) | TapeInstr::Var(_) => true,
@@ -230,23 +100,6 @@ enum Revised {
     Narrowed,
     /// No domain bit changed — the forward-sweep cache stays valid.
     Unchanged,
-}
-
-/// The gradient bundle of a clause: one tape holding every
-/// `∂(constraint k)/∂x_i`, compiled with shared CSE slots.
-#[derive(Debug, Clone)]
-struct GradientBundle {
-    tape: Tape,
-    /// Variables differentiated against (`tape.num_vars()` of the value
-    /// tape); gradients with respect to later dimensions are identically 0.
-    num_vars: usize,
-}
-
-impl GradientBundle {
-    /// The gradient root index of `(atom, var)`.
-    fn root(&self, atom: usize, var: usize) -> usize {
-        self.tape.root_slot(atom * self.num_vars + var)
-    }
 }
 
 /// A conjunction of constraints compiled to one shared evaluation tape.
@@ -278,25 +131,12 @@ impl GradientBundle {
 pub struct CompiledClause {
     tape: Tape,
     atoms: Vec<CompiledAtom>,
-    /// Whether the tape contains any `min`/`max`/`abs` instruction — the
-    /// only instructions region specialization can decide besides dropped
-    /// atoms, so choice-free clauses skip speculative re-specialization.
-    has_choices: bool,
     /// Per-slot flag: the slot's dependency cone contains no `sqrt`/`ln`.
     /// Those are the only operators whose HC4 inversion can clip variable
     /// domains even when the requirement envelops the recorded value, so a
     /// clip-free subtree whose requirement does not bite is provably a
     /// backward no-op and the walk skips it wholesale.
     clip_free: Vec<bool>,
-    /// Lazily compiled gradient bundle (symbolic differentiation + tape
-    /// lowering happen on first use, or eagerly via
-    /// [`CompiledClause::ensure_gradients`]).
-    grad: OnceLock<GradientBundle>,
-    /// Lazily computed choice-group partition of the tape (one backward
-    /// pass; built on the first view respecialization and shared by every
-    /// consumer of this clause, including all family-sweep members holding
-    /// the compiled formula through the warm-start cache).
-    analysis: OnceLock<ChoiceAnalysis>,
 }
 
 impl CompiledClause {
@@ -313,7 +153,6 @@ impl CompiledClause {
                 source: c.clone(),
             })
             .collect();
-        let has_choices = tape.num_choices() > 0;
         let mut clip_free = Vec::with_capacity(tape.num_slots());
         for i in 0..tape.num_slots() {
             let flag = instr_clip_free(tape.instr(i), &clip_free);
@@ -322,10 +161,7 @@ impl CompiledClause {
         CompiledClause {
             tape,
             atoms,
-            has_choices,
             clip_free,
-            grad: OnceLock::new(),
-            analysis: OnceLock::new(),
         }
     }
 
@@ -349,51 +185,8 @@ impl CompiledClause {
         ClauseScratch {
             slots: Vec::with_capacity(self.tape.num_slots()),
             stack: Vec::with_capacity(16),
-            atom_status: Vec::with_capacity(self.atoms.len()),
-            keep_roots: Vec::with_capacity(self.atoms.len()),
             ..ClauseScratch::default()
         }
-    }
-
-    /// Compiles the gradient bundle now instead of lazily on the first
-    /// derivative-guided cut, so callers can keep symbolic differentiation
-    /// and tape lowering out of timed solver sections.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nncps_deltasat::{CompiledClause, Constraint};
-    /// use nncps_expr::Expr;
-    ///
-    /// let clause = CompiledClause::compile(&[Constraint::ge(Expr::var(0).tanh(), 0.5)]);
-    /// clause.ensure_gradients(); // d tanh(x)/dx compiled here, not mid-search
-    /// ```
-    pub fn ensure_gradients(&self) {
-        let _ = self.gradient_bundle();
-    }
-
-    /// The memoized choice-group partition of the tape (see
-    /// [`ChoiceAnalysis`]), built on first use — one backward pass per
-    /// clause, amortized over every respecialization of every view.
-    pub(crate) fn choice_analysis(&self) -> &ChoiceAnalysis {
-        self.analysis
-            .get_or_init(|| ChoiceAnalysis::analyze(&self.tape))
-    }
-
-    fn gradient_bundle(&self) -> &GradientBundle {
-        self.grad.get_or_init(|| {
-            let num_vars = self.tape.num_vars();
-            let mut roots = Vec::with_capacity(self.atoms.len() * num_vars);
-            for atom in &self.atoms {
-                for var in 0..num_vars {
-                    roots.push(atom.source.expr().differentiate(var).simplified());
-                }
-            }
-            GradientBundle {
-                tape: Tape::compile_many(&roots),
-                num_vars,
-            }
-        })
     }
 
     /// Classifies the whole clause over a box with **one** forward tape
@@ -407,53 +200,23 @@ impl CompiledClause {
         region: &IntervalBox,
         scratch: &mut ClauseScratch,
     ) -> ClauseFeasibility {
-        self.feasibility_with_view(None, region, scratch)
-    }
-
-    /// [`CompiledClause::feasibility`] over a specialized view.
-    ///
-    /// Constraints whose root the view dropped were proven satisfied on an
-    /// enclosing region and are counted satisfied without evaluation; the
-    /// verdict is bit-identical to the full-tape sweep on every sub-box of
-    /// the view's region.
-    pub fn feasibility_with_view(
-        &self,
-        view: Option<&TapeView>,
-        region: &IntervalBox,
-        scratch: &mut ClauseScratch,
-    ) -> ClauseFeasibility {
         // Standalone entry point: the caller may have changed the region
         // since the last call, so the sweep cache starts cold.
         scratch.valid = 0;
-        self.classify(self.program(view), region, scratch)
+        self.classify(region, scratch)
     }
 
-    /// Classification body shared by [`CompiledClause::feasibility_with_view`]
-    /// and [`CompiledClause::propagate`]; reuses whatever prefix of the
-    /// forward sweep is still valid for the current region bits.
-    fn classify(
-        &self,
-        prog: Prog<'_>,
-        region: &IntervalBox,
-        scratch: &mut ClauseScratch,
-    ) -> ClauseFeasibility {
-        Self::ensure_prefix(prog, region, scratch, prog.len());
-        scratch.atom_status.clear();
-        scratch
-            .atom_status
-            .resize(self.atoms.len(), Feasibility::CertainlySatisfied);
+    /// Classification body shared by [`CompiledClause::feasibility`] and
+    /// [`CompiledClause::propagate`]; reuses whatever prefix of the forward
+    /// sweep is still valid for the current region bits.
+    fn classify(&self, region: &IntervalBox, scratch: &mut ClauseScratch) -> ClauseFeasibility {
+        self.ensure_prefix(region, scratch, self.tape.num_slots());
         let mut all_satisfied = true;
-        for (k, atom) in self.atoms.iter().enumerate() {
-            let Some(root) = prog.root_slot(k) else {
-                continue;
-            };
-            match atom.source.feasibility_of_value(scratch.slots[root]) {
+        for atom in &self.atoms {
+            match atom.source.feasibility_of_value(scratch.slots[atom.root]) {
                 Feasibility::CertainlySatisfied => {}
                 Feasibility::CertainlyViolated => return ClauseFeasibility::Violated,
-                Feasibility::Unknown => {
-                    scratch.atom_status[k] = Feasibility::Unknown;
-                    all_satisfied = false;
-                }
+                Feasibility::Unknown => all_satisfied = false,
             }
         }
         if all_satisfied {
@@ -464,36 +227,18 @@ impl CompiledClause {
     }
 
     /// Grows the shared forward sweep to cover at least `count` slots of the
-    /// active program, evaluating only the missing suffix.  `scratch.valid`
-    /// tracks how much of the sweep matches the current region bits; callers
-    /// reset it to `0` whenever the region (or the program) may have
-    /// changed.  Reused values are bit-identical by construction — they were
-    /// computed on identical inputs.  Only the evaluated suffix is charged
-    /// to `instructions_executed` (the fuel counter), so fuel is exactly
-    /// the instructions executed per logical box.
-    fn ensure_prefix(
-        prog: Prog<'_>,
-        region: &IntervalBox,
-        scratch: &mut ClauseScratch,
-        count: usize,
-    ) {
+    /// tape, evaluating only the missing suffix.  `scratch.valid` tracks how
+    /// much of the sweep matches the current region bits; callers reset it
+    /// to `0` whenever the region may have changed.  Reused values are
+    /// bit-identical by construction — they were computed on identical
+    /// inputs.  Only the evaluated suffix is charged to
+    /// `instructions_executed` (the fuel counter), so fuel is exactly the
+    /// instructions executed per logical box.
+    fn ensure_prefix(&self, region: &IntervalBox, scratch: &mut ClauseScratch, count: usize) {
         if count > scratch.valid {
-            let mut slots = std::mem::take(&mut scratch.slots);
-            slots.truncate(scratch.valid);
-            let num_choices = prog.num_choices();
-            if num_choices > 0 {
-                // Record the choice trace as the sweep grows: the recording
-                // twin is bit-identical and the trace feeds the delta-driven
-                // respecialization after classification.
-                if scratch.choices.len() != num_choices {
-                    scratch.choices.clear();
-                    scratch.choices.resize(num_choices, Choice::Both);
-                }
-                prog.extend_recording(region, &mut slots, count, &mut scratch.choices);
-            } else {
-                prog.extend(region, &mut slots, count);
-            }
-            scratch.slots = slots;
+            scratch.slots.truncate(scratch.valid);
+            self.tape
+                .eval_interval_extend_into(region, &mut scratch.slots, count);
             scratch.instructions_executed += count - scratch.valid;
             scratch.valid = count;
         }
@@ -511,27 +256,8 @@ impl CompiledClause {
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> bool {
-        self.contract_with_view(None, region, rounds, scratch)
-    }
-
-    /// [`CompiledClause::contract`] over a specialized view.
-    ///
-    /// Dropped constraints are skipped: their revise is a proven no-op on
-    /// every sub-box of the view's region (the recorded forward value of a
-    /// certainly-satisfied constraint already lies inside its admissible
-    /// interval, so every backward requirement envelops the recorded values
-    /// and no domain changes), keeping the narrowing bit-identical to the
-    /// full-tape contraction.
-    pub fn contract_with_view(
-        &self,
-        view: Option<&TapeView>,
-        region: &mut IntervalBox,
-        rounds: usize,
-        scratch: &mut ClauseScratch,
-    ) -> bool {
         scratch.valid = 0;
-        let clip_free = view.is_none().then_some(self.clip_free.as_slice());
-        self.contract_inner(self.program(view), clip_free, region, rounds, scratch)
+        self.contract_inner(region, rounds, scratch)
     }
 
     /// One full propagation of the clause over a box: contraction to the
@@ -543,74 +269,36 @@ impl CompiledClause {
     ///
     /// Returns [`ClauseFeasibility::Violated`] both when classification
     /// certainly refutes the box and when contraction empties it; results
-    /// (narrowed region, verdict, recorded per-atom statuses) are
-    /// bit-identical to [`CompiledClause::contract_with_view`] followed by
-    /// [`CompiledClause::feasibility_with_view`].
+    /// (narrowed region and verdict) are bit-identical to
+    /// [`CompiledClause::contract`] followed by
+    /// [`CompiledClause::feasibility`].
     pub fn propagate(
         &self,
-        view: Option<&TapeView>,
         region: &mut IntervalBox,
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> ClauseFeasibility {
-        // Without caller-provided per-view flags, only the full tape can
-        // skip no-op subtrees (views renumber slots).
-        let clip_free = view.is_none().then_some(self.clip_free.as_slice());
-        self.propagate_flagged(view, clip_free, region, rounds, scratch)
-    }
-
-    /// [`CompiledClause::propagate`] with caller-provided clip-free flags
-    /// for the active program — the solver derives them once per view
-    /// ([`CompiledClause::view_clip_free`]) so specialized programs keep the
-    /// no-op subtree skipping of the full tape.
-    pub(crate) fn propagate_flagged(
-        &self,
-        view: Option<&TapeView>,
-        clip_free: Option<&[bool]>,
-        region: &mut IntervalBox,
-        rounds: usize,
-        scratch: &mut ClauseScratch,
-    ) -> ClauseFeasibility {
-        let prog = self.program(view);
         scratch.valid = 0;
-        if !self.contract_inner(prog, clip_free, region, rounds, scratch) || region.is_empty() {
+        if !self.contract_inner(region, rounds, scratch) || region.is_empty() {
             return ClauseFeasibility::Violated;
         }
-        self.classify(prog, region, scratch)
-    }
-
-    /// Recomputes the clip-free cone flags (no `sqrt`/`ln` below the slot;
-    /// see the field documentation) for a specialized view, into a reusable
-    /// buffer.
-    pub(crate) fn view_clip_free(&self, view: &TapeView, out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(view.len());
-        for i in 0..view.len() {
-            let flag = instr_clip_free(view.instr(&self.tape, i), out);
-            out.push(flag);
-        }
+        self.classify(region, scratch)
     }
 
     fn contract_inner(
         &self,
-        prog: Prog<'_>,
-        clip_free: Option<&[bool]>,
         region: &mut IntervalBox,
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> bool {
         for _ in 0..rounds {
             let before = total_width(region);
-            for (k, atom) in self.atoms.iter().enumerate() {
-                let Some(root) = prog.root_slot(k) else {
-                    continue;
-                };
+            for atom in &self.atoms {
                 // Roots are emitted in atom order, so the shared sweep only
                 // ever grows within a pass; after a fixpointed pass every
                 // revise runs on cached forward values.
-                Self::ensure_prefix(prog, region, scratch, root + 1);
-                match self.revise_backward(prog, root, atom.admissible, region, scratch, clip_free)
-                {
+                self.ensure_prefix(region, scratch, atom.root + 1);
+                match self.revise_backward(atom.root, atom.admissible, region, scratch) {
                     Revised::Infeasible => return false,
                     Revised::Narrowed => scratch.valid = 0,
                     Revised::Unchanged => {}
@@ -623,18 +311,6 @@ impl CompiledClause {
             }
         }
         true
-    }
-
-    fn program<'a>(&'a self, view: Option<&'a TapeView>) -> Prog<'a> {
-        match view {
-            Some(view) => Prog::View(&self.tape, view),
-            None => Prog::Tape(&self.tape),
-        }
-    }
-
-    /// The instruction count of the active program (full tape or view).
-    pub fn program_len(&self, view: Option<&TapeView>) -> usize {
-        self.program(view).len()
     }
 
     /// The backward half of one HC4-revise: a non-recursive walk from the
@@ -651,12 +327,10 @@ impl CompiledClause {
     /// always-assigning reference would.
     fn revise_backward(
         &self,
-        prog: Prog<'_>,
         root: usize,
         admissible: Interval,
         region: &mut IntervalBox,
         scratch: &mut ClauseScratch,
-        clip_free: Option<&[bool]>,
     ) -> Revised {
         let mut narrowed_any = false;
         scratch.stack.clear();
@@ -673,15 +347,13 @@ impl CompiledClause {
             // whole subtree walk is a proven no-op — skip it.  Fixpointed
             // contraction rounds collapse from full DAG walks to the thin
             // spine where requirements still cut.
-            if let Some(clip_free) = clip_free {
-                if clip_free[slot]
-                    && narrowed.lo().to_bits() == scratch.slots[slot].lo().to_bits()
-                    && narrowed.hi().to_bits() == scratch.slots[slot].hi().to_bits()
-                {
-                    continue;
-                }
+            if self.clip_free[slot]
+                && narrowed.lo().to_bits() == scratch.slots[slot].lo().to_bits()
+                && narrowed.hi().to_bits() == scratch.slots[slot].hi().to_bits()
+            {
+                continue;
             }
-            match prog.instr(slot) {
+            match self.tape.instr(slot) {
                 // Variable-free slots (literal or folded constants) carry no
                 // domains to narrow.
                 TapeInstr::Const(..) => {}
@@ -720,237 +392,6 @@ impl CompiledClause {
             Revised::Narrowed
         } else {
             Revised::Unchanged
-        }
-    }
-
-    /// Derives a further-specialized view for the current region, using the
-    /// forward values, choice trace, and per-atom verdicts recorded by the
-    /// last [`CompiledClause::feasibility_with_view`] sweep.
-    ///
-    /// Returns `true` (and fills `out`) when the derived view is worthwhile
-    /// — a choice was decided or an atom dropped; returns `false` without
-    /// touching `out`'s contents otherwise.  Descending from an existing
-    /// view consumes the recorded choice *delta*: an unchanged trace costs
-    /// `O(open choices + roots)` and exits without walking the program.
-    /// Choice-free clauses skip the scan entirely unless an atom became
-    /// droppable.
-    pub fn respecialize(
-        &self,
-        view: Option<&TapeView>,
-        scratch: &mut ClauseScratch,
-        spec_scratch: &mut SpecializeScratch,
-        out: &mut TapeView,
-    ) -> bool {
-        debug_assert_eq!(scratch.atom_status.len(), self.atoms.len());
-        let prog = self.program(view);
-        let mut newly_droppable = false;
-        scratch.keep_roots.clear();
-        for (k, &status) in scratch.atom_status.iter().enumerate() {
-            let keep = status == Feasibility::Unknown;
-            scratch.keep_roots.push(keep);
-            if !keep && prog.root_slot(k).is_some() {
-                newly_droppable = true;
-            }
-        }
-        if !newly_droppable && !self.has_choices {
-            return false;
-        }
-        match view {
-            // Delta-driven descent: `respecialize_into` reports whether the
-            // child differs (its delta check already accounts for droppable
-            // roots), so its verdict is the final word.
-            Some(view) => view.respecialize_into(
-                &self.tape,
-                self.choice_analysis(),
-                &scratch.slots,
-                &scratch.choices,
-                &scratch.keep_roots,
-                spec_scratch,
-                out,
-            ),
-            // Descent root: the full three-pass derivation always fills
-            // `out`; a dropped atom is worthwhile even when no instruction
-            // was pruned.
-            None => {
-                let shortened = self.tape.specialize_from_slots(
-                    &scratch.slots,
-                    &scratch.keep_roots,
-                    spec_scratch,
-                    out,
-                );
-                shortened || newly_droppable
-            }
-        }
-    }
-
-    /// Derivative-guided contraction of one box: a **monotonicity cut**
-    /// collapses every dimension on which each undecided constraint is
-    /// monotone in its favorable direction (satisfiability over the box is
-    /// then equivalent to satisfiability over the face, so the search loses
-    /// no solutions and skips the subdivision of that dimension entirely),
-    /// and an **interval-Newton step** narrows equality constraints through
-    /// the mean-value form `g(x) ∈ g(m) + Σ ∂g·(x − m)`.
-    ///
-    /// Gradients come from the lazily compiled bundle
-    /// ([`CompiledClause::ensure_gradients`]); enclosures that straddle zero
-    /// or are undefined (kinks of `abs`/`min`/`max`, division by a range
-    /// containing zero) safely disable the cut for that dimension.
-    ///
-    /// Uses the per-atom verdicts recorded by the last feasibility sweep;
-    /// call only after a sweep returned
-    /// [`ClauseFeasibility::Undecided`].
-    pub fn derivative_cuts(
-        &self,
-        region: &mut IntervalBox,
-        scratch: &mut ClauseScratch,
-    ) -> CutOutcome {
-        debug_assert_eq!(scratch.atom_status.len(), self.atoms.len());
-        let grads = self.gradient_bundle();
-        let dim = region.dim();
-        let mut grad_slots = std::mem::take(&mut scratch.grad_slots);
-        grads.tape.eval_interval_into(region, &mut grad_slots);
-        scratch.grad_slots = grad_slots;
-        scratch.instructions_executed += grads.tape.num_slots();
-        let grad = |atom: usize, var: usize| -> Interval {
-            if var < grads.num_vars {
-                scratch.grad_slots[grads.root(atom, var)]
-            } else {
-                // The value tape never reads this dimension.
-                Interval::singleton(0.0)
-            }
-        };
-
-        let mut changed = false;
-
-        // --- monotonicity cuts ------------------------------------------
-        for i in 0..dim {
-            if region[i].is_singleton() {
-                continue;
-            }
-            let mut up_ok = true;
-            let mut down_ok = true;
-            for (k, atom) in self.atoms.iter().enumerate() {
-                if scratch.atom_status[k] != Feasibility::Unknown {
-                    continue;
-                }
-                let d = grad(k, i);
-                if d.is_empty() {
-                    up_ok = false;
-                    down_ok = false;
-                    break;
-                }
-                match atom.source.relation() {
-                    Relation::Ge | Relation::Gt => {
-                        up_ok &= d.lo() >= 0.0;
-                        down_ok &= d.hi() <= 0.0;
-                    }
-                    Relation::Le | Relation::Lt => {
-                        up_ok &= d.hi() <= 0.0;
-                        down_ok &= d.lo() >= 0.0;
-                    }
-                    // An equality only tolerates a collapse when it provably
-                    // does not depend on the dimension at all.
-                    Relation::Eq => {
-                        let independent = d.lo() == 0.0 && d.hi() == 0.0;
-                        up_ok &= independent;
-                        down_ok &= independent;
-                    }
-                }
-                if !up_ok && !down_ok {
-                    break;
-                }
-            }
-            if up_ok {
-                region[i] = Interval::singleton(region[i].hi());
-                changed = true;
-            } else if down_ok {
-                region[i] = Interval::singleton(region[i].lo());
-                changed = true;
-            }
-        }
-
-        // --- interval Newton on equality constraints --------------------
-        let has_eq = self
-            .atoms
-            .iter()
-            .zip(&scratch.atom_status)
-            .any(|(a, &s)| a.source.relation() == Relation::Eq && s == Feasibility::Unknown);
-        if has_eq {
-            scratch.mid.clear();
-            for i in 0..dim {
-                scratch.mid.push(region[i].midpoint());
-            }
-            scratch.point_box.clone_from(region);
-            for i in 0..dim {
-                scratch.point_box[i] = Interval::singleton(scratch.mid[i]);
-            }
-            scratch.point_slots.clear();
-            for (k, atom) in self.atoms.iter().enumerate() {
-                if atom.source.relation() != Relation::Eq
-                    || scratch.atom_status[k] != Feasibility::Unknown
-                {
-                    continue;
-                }
-                // Enclosure of g at the midpoint (a point box keeps the
-                // evaluation outward-rounded, hence sound).  Atom roots
-                // ascend, so one midpoint sweep grows incrementally across
-                // the clause's equality atoms.
-                let mut point_slots = std::mem::take(&mut scratch.point_slots);
-                let already = point_slots.len();
-                self.tape.eval_interval_extend_into(
-                    &scratch.point_box,
-                    &mut point_slots,
-                    (atom.root + 1).max(already),
-                );
-                let g_mid = point_slots[atom.root];
-                scratch.instructions_executed += point_slots.len() - already;
-                scratch.point_slots = point_slots;
-                if g_mid.is_empty() {
-                    continue;
-                }
-                for i in 0..dim.min(grads.num_vars) {
-                    if region[i].is_singleton() {
-                        continue;
-                    }
-                    let d_i = grad(k, i);
-                    if d_i.is_empty() || d_i.contains(0.0) {
-                        continue;
-                    }
-                    // rest = Σ_{j≠i} ∂g/∂x_j · (X_j − m_j)
-                    let mut rest = Interval::singleton(0.0);
-                    let mut sound = true;
-                    for j in 0..dim {
-                        if j == i {
-                            continue;
-                        }
-                        let d_j = grad(k, j);
-                        if d_j.is_empty() {
-                            sound = false;
-                            break;
-                        }
-                        rest = rest + d_j * (region[j] - Interval::singleton(scratch.mid[j]));
-                    }
-                    if !sound {
-                        continue;
-                    }
-                    let newton = Interval::singleton(scratch.mid[i])
-                        + (atom.admissible - g_mid - rest) / d_i;
-                    let narrowed = region[i].intersect(&newton);
-                    if narrowed.is_empty() {
-                        return CutOutcome::Infeasible;
-                    }
-                    if narrowed != region[i] {
-                        region[i] = narrowed;
-                        changed = true;
-                    }
-                }
-            }
-        }
-
-        if changed {
-            CutOutcome::Narrowed
-        } else {
-            CutOutcome::Unchanged
         }
     }
 }
@@ -998,14 +439,10 @@ impl CompiledFormula {
         &self.clauses
     }
 
-    /// Eagerly compiles every clause's gradient bundle (see
-    /// [`CompiledClause::ensure_gradients`]), so derivative-guided solving
-    /// pays no symbolic differentiation inside timed sections.
-    pub fn ensure_gradients(&self) {
-        for clause in &self.clauses {
-            clause.ensure_gradients();
-        }
-    }
+    /// No effect; kept only so the frozen benchmark compiles.  Compiling a
+    /// formula does all the work its solves need.
+    #[deprecated(note = "no effect: there are no gradient bundles to compile")]
+    pub fn ensure_gradients(&self) {}
 }
 
 impl From<&Formula> for CompiledFormula {
@@ -1138,212 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn view_evaluation_drops_satisfied_atoms_and_stays_bit_identical() {
-        // Two atoms: on the region the first is certainly satisfied, the
-        // second undecided.  The respecialized view must drop the first
-        // atom's exclusive cone and contract bit-identically to the full
-        // tape.
-        let clause = vec![
-            Constraint::le(y().sin() * 0.25 - 10.0, 0.0), // always satisfied
-            Constraint::ge(x().tanh() + y() * 0.5, 0.4),
-        ];
-        let compiled = CompiledClause::compile(&clause);
-        let mut scratch = compiled.scratch();
-        let region = IntervalBox::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-
-        let mut spec_scratch = SpecializeScratch::default();
-        let mut view = TapeView::default();
-        assert!(compiled.respecialize(None, &mut scratch, &mut spec_scratch, &mut view));
-        assert!(view.root_slot(0).is_none(), "satisfied atom dropped");
-        assert!(view.root_slot(1).is_some());
-        assert!(view.len() < compiled.tape().num_slots());
-
-        for sub in [
-            IntervalBox::from_bounds(&[(-0.5, 0.5), (-0.25, 0.75)]),
-            IntervalBox::from_bounds(&[(0.0, 1.0), (-1.0, 0.0)]),
-        ] {
-            // Feasibility verdicts agree.
-            let mut view_scratch = compiled.scratch();
-            let full = compiled.feasibility(&sub, &mut scratch);
-            let short = compiled.feasibility_with_view(Some(&view), &sub, &mut view_scratch);
-            assert_eq!(full, short, "{sub}");
-            // Contraction narrows to identical bits.
-            let mut full_region = sub.clone();
-            let mut view_region = sub.clone();
-            let full_ok = compiled.contract(&mut full_region, 4, &mut scratch);
-            let view_ok =
-                compiled.contract_with_view(Some(&view), &mut view_region, 4, &mut view_scratch);
-            assert_eq!(full_ok, view_ok, "{sub}");
-            if full_ok {
-                assert_boxes_bit_equal(&full_region, &view_region);
-            }
-        }
-    }
-
-    #[test]
-    fn choice_free_clause_skips_speculative_respecialization() {
-        let clause = vec![Constraint::ge(x().tanh() + y().powi(2), 0.25)];
-        let compiled = CompiledClause::compile(&clause);
-        assert!(!compiled.has_choices);
-        let mut scratch = compiled.scratch();
-        let region = IntervalBox::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-        let mut spec_scratch = SpecializeScratch::default();
-        let mut view = TapeView::default();
-        // Nothing droppable, no choices: the scan is skipped.
-        assert!(!compiled.respecialize(None, &mut scratch, &mut spec_scratch, &mut view));
-    }
-
-    #[test]
-    fn monotone_collapse_pins_decided_dimensions() {
-        // g = tanh(x) + y is strictly increasing in both variables; for
-        // `g >= 0.4` both dimensions collapse to their upper faces.
-        let clause = vec![Constraint::ge(x().tanh() + y(), 0.4)];
-        let compiled = CompiledClause::compile(&clause);
-        let mut scratch = compiled.scratch();
-        let mut region = IntervalBox::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-        assert_eq!(
-            compiled.derivative_cuts(&mut region, &mut scratch),
-            CutOutcome::Narrowed
-        );
-        assert!(region[0].is_singleton());
-        assert_eq!(region[0].lo(), 1.0);
-        assert!(region[1].is_singleton());
-        assert_eq!(region[1].lo(), 1.0);
-    }
-
-    #[test]
-    fn monotone_collapse_respects_relation_direction() {
-        // `x + y <= c` prefers the lower faces.
-        let clause = vec![Constraint::le(x() + y(), 0.0)];
-        let compiled = CompiledClause::compile(&clause);
-        let mut scratch = compiled.scratch();
-        let mut region = IntervalBox::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-        assert_eq!(
-            compiled.derivative_cuts(&mut region, &mut scratch),
-            CutOutcome::Narrowed
-        );
-        assert_eq!(region[0].lo(), -1.0);
-        assert!(region[0].is_singleton());
-        assert_eq!(region[1].lo(), -1.0);
-        assert!(region[1].is_singleton());
-    }
-
-    #[test]
-    fn conflicting_monotonicity_blocks_the_collapse() {
-        // Two undecided constraints pulling x in opposite directions.
-        let clause = vec![
-            Constraint::ge(x() + y(), 0.0),
-            Constraint::le(x() - y(), 0.0),
-        ];
-        let compiled = CompiledClause::compile(&clause);
-        let mut scratch = compiled.scratch();
-        let mut region = IntervalBox::from_bounds(&[(-1.0, 1.0), (-4.0, 4.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-        // x cannot collapse (conflict); y CAN: up helps `x + y >= 0` and
-        // also helps `x - y <= 0`.
-        let outcome = compiled.derivative_cuts(&mut region, &mut scratch);
-        assert_eq!(outcome, CutOutcome::Narrowed);
-        assert!(!region[0].is_singleton(), "conflicted dimension untouched");
-        assert!(region[1].is_singleton());
-        assert_eq!(region[1].lo(), 4.0);
-    }
-
-    #[test]
-    fn newton_step_narrows_equalities() {
-        // x² = 2 on [1, 2]: the derivative 2x ∈ [2, 4] has fixed sign, so a
-        // single Newton step contracts hard around √2.
-        let clause = vec![Constraint::eq(x().powi(2), 2.0)];
-        let compiled = CompiledClause::compile(&clause);
-        let mut scratch = compiled.scratch();
-        let mut region = IntervalBox::from_bounds(&[(1.0, 2.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-        assert_eq!(
-            compiled.derivative_cuts(&mut region, &mut scratch),
-            CutOutcome::Narrowed
-        );
-        assert!(region[0].contains(2.0_f64.sqrt()), "root kept: {region}");
-        assert!(region[0].width() < 0.5, "meaningful contraction: {region}");
-    }
-
-    #[test]
-    fn newton_step_proves_infeasibility_the_direct_sweep_misses() {
-        // g = x − x·x = 0.3 on [0.7, 0.9]: interval dependency widens the
-        // direct enclosure to [−0.11, 0.41] ∋ 0.3 (undecided), but the true
-        // range [0.09, 0.21] misses 0.3 — the mean-value form sees it.
-        let clause = vec![Constraint::eq(x() - x() * x(), 0.3)];
-        let compiled = CompiledClause::compile(&clause);
-        let mut scratch = compiled.scratch();
-        let mut region = IntervalBox::from_bounds(&[(0.7, 0.9)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-        assert_eq!(
-            compiled.derivative_cuts(&mut region, &mut scratch),
-            CutOutcome::Infeasible
-        );
-    }
-
-    #[test]
-    fn unusable_gradients_leave_the_box_unchanged() {
-        // |x| has a kink at 0: over a straddling box the derivative
-        // enclosure is unusable, so no cut may fire.
-        let clause = vec![Constraint::ge(x().abs(), 0.5)];
-        let compiled = CompiledClause::compile(&clause);
-        let mut scratch = compiled.scratch();
-        let mut region = IntervalBox::from_bounds(&[(-1.0, 1.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-        assert_eq!(
-            compiled.derivative_cuts(&mut region, &mut scratch),
-            CutOutcome::Unchanged
-        );
-        assert_eq!(region[0], Interval::new(-1.0, 1.0));
-    }
-
-    #[test]
-    fn dimensions_beyond_the_tape_collapse_for_free() {
-        // The clause only mentions x0; x1 is unconstrained and collapses.
-        let clause = vec![Constraint::ge(x().powi(2), 0.5)];
-        let compiled = CompiledClause::compile(&clause);
-        let mut scratch = compiled.scratch();
-        let mut region = IntervalBox::from_bounds(&[(-1.0, 1.0), (-7.0, 7.0)]);
-        assert_eq!(
-            compiled.feasibility(&region, &mut scratch),
-            ClauseFeasibility::Undecided
-        );
-        assert_eq!(
-            compiled.derivative_cuts(&mut region, &mut scratch),
-            CutOutcome::Narrowed
-        );
-        assert!(region[1].is_singleton());
-    }
-
-    #[test]
     fn compiled_formula_exposes_dnf_clauses() {
         let f = Formula::and(vec![
             Formula::atom(Constraint::le(x(), 1.0)),
@@ -1355,7 +586,6 @@ mod tests {
         let compiled = CompiledFormula::compile(&f);
         assert_eq!(compiled.clauses().len(), 2);
         assert!(compiled.clauses().iter().all(|c| c.num_atoms() == 2));
-        compiled.ensure_gradients();
         let via_from: CompiledFormula = (&f).into();
         assert_eq!(via_from.clauses().len(), 2);
         assert!(CompiledFormula::compile(&Formula::falsum())

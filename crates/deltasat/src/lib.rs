@@ -77,7 +77,7 @@ mod formula;
 mod solver;
 
 pub use cache::CompilationCache;
-pub use compiled::{ClauseFeasibility, ClauseScratch, CompiledClause, CompiledFormula, CutOutcome};
+pub use compiled::{ClauseFeasibility, ClauseScratch, CompiledClause, CompiledFormula};
 pub use constraint::{Constraint, Feasibility, Relation};
 pub use contractor::{contract_clause, hc4_revise};
 pub use formula::Formula;

@@ -2,13 +2,10 @@
 
 use std::fmt;
 
-use nncps_expr::{SpecializeScratch, TapeView};
 use nncps_interval::IntervalBox;
 use nncps_parallel::{Budget, ExhaustionReason};
 
-use crate::compiled::{
-    ClauseFeasibility, ClauseScratch, CompiledClause, CompiledFormula, CutOutcome,
-};
+use crate::compiled::{ClauseFeasibility, ClauseScratch, CompiledClause, CompiledFormula};
 use crate::contractor::contract_clause;
 use crate::{Constraint, Feasibility, Formula};
 
@@ -64,9 +61,9 @@ impl fmt::Display for SatResult {
 /// ([`SolverStats::instructions_executed`],
 /// [`SolverStats::specialized_tape_len_sum`], [`SolverStats::newton_cuts`])
 /// are evaluation-cost instrumentation: they depend on which evaluation
-/// backend ran (compiled tape, specialized views, tree reference) even when
-/// the search tree is bit-identical, so they are deliberately excluded from
-/// equality — and, downstream, from the scenario-report fingerprints.
+/// backend ran (compiled tape or tree reference) even when the search tree
+/// is bit-identical, so they are deliberately excluded from equality — and,
+/// downstream, from the scenario-report fingerprints.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverStats {
     /// Number of boxes popped from the work stack across all clauses.
@@ -77,16 +74,16 @@ pub struct SolverStats {
     pub bisections: usize,
     /// Number of DNF clauses examined.
     pub clauses_examined: usize,
-    /// Tape instructions executed by forward sweeps (feasibility,
-    /// contraction, gradient and Newton evaluations).  `0` under the
-    /// tree-walking reference evaluator.
+    /// Tape instructions executed by forward sweeps (feasibility and
+    /// contraction).  `0` under the tree-walking reference evaluator.
     pub instructions_executed: usize,
-    /// Sum over processed boxes of the active program length (the full tape,
-    /// or the shortened view when region specialization applies), i.e. the
-    /// work-per-box integral that specialization shrinks.
+    /// Sum over processed boxes of the clause's tape length.  `0` under the
+    /// tree-walking reference evaluator.  The name predates the removal of
+    /// region-specialized tapes; the field stays because the session store
+    /// and the report JSON carry it.
     pub specialized_tape_len_sum: usize,
-    /// Number of derivative-guided cuts (monotonicity collapses and interval
-    /// Newton narrowings) applied.
+    /// Always `0`: the solver applies no derivative-guided cuts.  Kept
+    /// because the session store and the report JSON carry it.
     pub newton_cuts: usize,
 }
 
@@ -131,32 +128,15 @@ impl SolverStats {
 /// A δ-complete decision procedure for existential nonlinear queries,
 /// implemented with interval constraint propagation and branch & prune.
 ///
-/// The search is one sequential depth-first branch-and-prune loop.
-/// Queries are compiled to flat evaluation tapes
-/// ([`CompiledClause`]) before the search starts, so the per-box loop —
-/// contraction, feasibility classification, bisection — runs allocation-free
-/// over dense instruction arrays.  Two further accelerations are on by
-/// default:
-///
-/// * **Region specialization** ([`DeltaSolver::with_tape_specialization`]):
-///   on every split the solver derives a shortened
-///   [`TapeView`](nncps_expr::TapeView) for the child boxes — decided
-///   `min`/`max`/`abs` branches and constraints proven satisfied on the
-///   region are pruned, fidget-style, so work per box shrinks as boxes
-///   shrink.  Specialization is *bit-invisible*: verdicts, witnesses, and
-///   the explored box tree are identical to the full-tape search.
-/// * **Derivative-guided cuts** ([`DeltaSolver::with_newton_cuts`]):
-///   per box, gradient enclosures from a compiled derivative bundle drive a
-///   monotonicity cut (dimensions on which every undecided constraint is
-///   monotone collapse to the favorable face) and an interval-Newton step
-///   for equalities.  These cuts reduce the *number* of boxes and therefore
-///   change the search tree (and possibly which witness is found first);
-///   disable them for bit-identical comparisons against the reference.
+/// The search is one sequential depth-first branch-and-prune loop: each box
+/// is contracted (HC4), classified, and then pruned, reported, or bisected.
+/// Queries are compiled to flat evaluation tapes ([`CompiledClause`]) before
+/// the search starts, so the per-box loop runs allocation-free over dense
+/// instruction arrays.
 ///
 /// The tree-walking reference evaluator
-/// ([`DeltaSolver::with_tree_evaluator`]) runs with both accelerations off
-/// and explores exactly the same box tree as a compiled solver with Newton
-/// cuts disabled.
+/// ([`DeltaSolver::with_tree_evaluator`]) explores exactly the same box
+/// tree: verdicts, witnesses and search statistics are bit-identical.
 ///
 /// See the [crate-level documentation](crate) for the semantics of the
 /// returned verdicts and a usage example.
@@ -166,8 +146,6 @@ pub struct DeltaSolver {
     max_boxes: usize,
     contraction_rounds: usize,
     tree_eval: bool,
-    specialize: bool,
-    newton: bool,
     budget: Budget,
 }
 
@@ -189,21 +167,6 @@ enum ClauseEngine<'a> {
     Tree(&'a [Constraint]),
 }
 
-/// The per-depth specialization stack of one clause search: `views[d]` is
-/// the program for subtrees at depth `d + 1` of the *current* depth-first
-/// path (depth 0 boxes run on the full tape).  Popped views return to the
-/// pool, so the steady-state loop reuses their storage allocation-free.
-#[derive(Default)]
-struct SpecState {
-    views: Vec<TapeView>,
-    /// Clip-free cone flags of each view (parallel to `views`), so derived
-    /// programs keep the no-op backward-subtree skipping of the full tape.
-    flags: Vec<Vec<bool>>,
-    pool: Vec<TapeView>,
-    flag_pool: Vec<Vec<bool>>,
-    scratch: SpecializeScratch,
-}
-
 impl ClauseEngine<'_> {
     fn atom_count(&self) -> usize {
         match self {
@@ -219,13 +182,10 @@ impl ClauseEngine<'_> {
         }
     }
 
-    fn supports_specialization(&self) -> bool {
-        matches!(self, ClauseEngine::Compiled(_))
-    }
-
-    fn program_len(&self, view: Option<(&TapeView, &[bool])>) -> usize {
+    /// Instruction count of the compiled tape (`0` for the tree reference).
+    fn program_len(&self) -> usize {
         match self {
-            ClauseEngine::Compiled(clause) => clause.program_len(view.map(|(v, _)| v)),
+            ClauseEngine::Compiled(clause) => clause.tape().num_slots(),
             ClauseEngine::Tree(_) => 0,
         }
     }
@@ -236,18 +196,12 @@ impl ClauseEngine<'_> {
     /// separately — the verdicts and the narrowed region are bit-identical.
     fn propagate(
         &self,
-        view: Option<(&TapeView, &[bool])>,
         region: &mut IntervalBox,
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> ClauseFeasibility {
         match self {
-            ClauseEngine::Compiled(clause) => match view {
-                Some((view, clip_free)) => {
-                    clause.propagate_flagged(Some(view), Some(clip_free), region, rounds, scratch)
-                }
-                None => clause.propagate(None, region, rounds, scratch),
-            },
+            ClauseEngine::Compiled(clause) => clause.propagate(region, rounds, scratch),
             ClauseEngine::Tree(clause) => {
                 if !contract_clause(clause, region, rounds) || region.is_empty() {
                     return ClauseFeasibility::Violated;
@@ -268,32 +222,6 @@ impl ClauseEngine<'_> {
             }
         }
     }
-
-    fn derivative_cuts(&self, region: &mut IntervalBox, scratch: &mut ClauseScratch) -> CutOutcome {
-        match self {
-            ClauseEngine::Compiled(clause) => clause.derivative_cuts(region, scratch),
-            ClauseEngine::Tree(_) => CutOutcome::Unchanged,
-        }
-    }
-
-    fn respecialize(
-        &self,
-        view: Option<&TapeView>,
-        scratch: &mut ClauseScratch,
-        spec_scratch: &mut SpecializeScratch,
-        out: &mut TapeView,
-    ) -> bool {
-        match self {
-            ClauseEngine::Compiled(clause) => clause.respecialize(view, scratch, spec_scratch, out),
-            ClauseEngine::Tree(_) => false,
-        }
-    }
-
-    fn view_clip_free(&self, view: &TapeView, out: &mut Vec<bool>) {
-        if let ClauseEngine::Compiled(clause) = self {
-            clause.view_clip_free(view, out);
-        }
-    }
 }
 
 impl DeltaSolver {
@@ -302,27 +230,6 @@ impl DeltaSolver {
 
     /// Default number of HC4 sweeps applied to each box.
     pub const DEFAULT_CONTRACTION_ROUNDS: usize = 4;
-
-    /// Maximum depth of the per-path specialization stack; deeper boxes keep
-    /// reusing the deepest derived view (bounding memory without affecting
-    /// results — re-specialization is monotone).
-    const MAX_SPECIALIZE_DEPTH: usize = 64;
-
-    /// Maximum number of narrowing derivative cuts applied per box, each
-    /// followed by a full contract + classify pass: a monotonicity collapse
-    /// pins at least one dimension, so a handful of cuts already reaches
-    /// the fixpoint that matters, and the final verdict is always taken on
-    /// a freshly classified region.
-    const MAX_CUT_PASSES: usize = 3;
-
-    /// Derivative-guided cuts are attempted once a box's width is within
-    /// this factor of the precision `δ` (about ten bisections per dimension
-    /// from termination).  On wide boxes the gradient enclosures of
-    /// nontrivial constraints almost never have fixed sign, so sweeping the
-    /// gradient bundle there is pure overhead; near the bottom of the tree —
-    /// where the bulk of the boxes live — the enclosures tighten and the
-    /// cuts collapse whole dimensions.
-    const NEWTON_WINDOW: f64 = 1024.0;
 
     /// Creates a solver with the given precision `δ`.
     ///
@@ -336,8 +243,6 @@ impl DeltaSolver {
             max_boxes: Self::DEFAULT_MAX_BOXES,
             contraction_rounds: Self::DEFAULT_CONTRACTION_ROUNDS,
             tree_eval: false,
-            specialize: true,
-            newton: true,
             budget: Budget::unlimited(),
         }
     }
@@ -391,15 +296,13 @@ impl DeltaSolver {
 
     /// Switches the solver to the recursive tree-walking evaluators
     /// ([`crate::hc4_revise`] / [`Constraint::feasibility`]) instead of
-    /// compiled tapes, with region specialization and derivative-guided
-    /// cuts disabled.
+    /// compiled tapes.
     ///
     /// This is the slow reference path: it produces bit-identical verdicts,
-    /// witnesses, and box statistics to a compiled solver with
-    /// [`DeltaSolver::with_newton_cuts`] turned off (region specialization
-    /// never affects results), and exists for differential testing and
-    /// benchmarking of the compiled evaluation layer.  Queries handed to
-    /// [`DeltaSolver::solve_compiled`] always run compiled.
+    /// witnesses, and box statistics to the compiled solver, and exists for
+    /// differential testing and benchmarking of the compiled evaluation
+    /// layer.  Queries handed to [`DeltaSolver::solve_compiled`] always run
+    /// compiled.
     ///
     /// # Examples
     ///
@@ -410,11 +313,7 @@ impl DeltaSolver {
     ///
     /// let query = Formula::atom(Constraint::ge(Expr::var(0).powi(2), 2.0));
     /// let domain = IntervalBox::from_bounds(&[(-3.0, 3.0)]);
-    /// // Newton cuts change the search tree, so the bit-identical
-    /// // comparison pins them off on the compiled side.
-    /// let (fast, fast_stats) = DeltaSolver::new(1e-4)
-    ///     .with_newton_cuts(false)
-    ///     .solve_with_stats(&query, &domain);
+    /// let (fast, fast_stats) = DeltaSolver::new(1e-4).solve_with_stats(&query, &domain);
     /// let (reference, reference_stats) = DeltaSolver::new(1e-4)
     ///     .with_tree_evaluator()
     ///     .solve_with_stats(&query, &domain);
@@ -423,58 +322,6 @@ impl DeltaSolver {
     /// ```
     pub fn with_tree_evaluator(mut self) -> Self {
         self.tree_eval = true;
-        self.specialize = false;
-        self.newton = false;
-        self
-    }
-
-    /// Enables or disables region specialization (default: enabled).
-    ///
-    /// When enabled, every split derives a shortened
-    /// [`TapeView`](nncps_expr::TapeView) for the child boxes from the
-    /// parent's program — decided `min`/`max`/`abs` branches and constraints
-    /// proven satisfied on the region are dropped, so the per-box
-    /// evaluation cost falls as the search descends.  Specialization is
-    /// bit-invisible: verdicts, witnesses, and search statistics are
-    /// identical with it on or off; the only observable difference is speed
-    /// (and [`SolverStats::specialized_tape_len_sum`]).
-    pub fn with_tape_specialization(mut self, enabled: bool) -> Self {
-        self.specialize = enabled;
-        self
-    }
-
-    /// Enables or disables derivative-guided contraction (default: enabled).
-    ///
-    /// Per undecided box the solver evaluates the clause's compiled gradient
-    /// bundle and applies a monotonicity cut — a dimension on which every
-    /// undecided constraint is monotone in its favorable direction collapses
-    /// to that face, preserving satisfiability of the box exactly — plus an
-    /// interval-Newton narrowing for equality constraints.  The cuts reduce
-    /// box *counts* algorithmically but change the explored search tree, so
-    /// δ-SAT witnesses can come from a different (equally valid) region than
-    /// without cuts; disable for bit-identical comparisons against
-    /// [`DeltaSolver::with_tree_evaluator`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nncps_deltasat::{Constraint, DeltaSolver, Formula};
-    /// use nncps_expr::Expr;
-    /// use nncps_interval::IntervalBox;
-    ///
-    /// // tanh(x) + y is monotone in both variables: with cuts the solver
-    /// // collapses the box instead of bisecting it.
-    /// let query = Formula::atom(Constraint::ge(Expr::var(0).tanh() + Expr::var(1), 0.4));
-    /// let domain = IntervalBox::from_bounds(&[(-1.0, 1.0), (-1.0, 1.0)]);
-    /// let (with_cuts, fast) = DeltaSolver::new(1e-2).solve_with_stats(&query, &domain);
-    /// let (without, slow) = DeltaSolver::new(1e-2)
-    ///     .with_newton_cuts(false)
-    ///     .solve_with_stats(&query, &domain);
-    /// assert!(with_cuts.is_delta_sat() && without.is_delta_sat());
-    /// assert!(fast.boxes_explored <= slow.boxes_explored);
-    /// ```
-    pub fn with_newton_cuts(mut self, enabled: bool) -> Self {
-        self.newton = enabled;
         self
     }
 
@@ -488,16 +335,6 @@ impl DeltaSolver {
     /// The configured precision `δ`.
     pub fn precision(&self) -> f64 {
         self.precision
-    }
-
-    /// Whether region specialization is enabled.
-    pub fn tape_specialization(&self) -> bool {
-        self.specialize
-    }
-
-    /// Whether derivative-guided cuts are enabled.
-    pub fn newton_cuts(&self) -> bool {
-        self.newton
     }
 
     /// Decides `∃ x ∈ domain : formula(x)`.
@@ -579,12 +416,7 @@ impl DeltaSolver {
         (result, stats)
     }
 
-    /// The depth-first branch-and-prune search of one clause, with the
-    /// per-depth specialization stack mirroring the current path: stack
-    /// entries carry the number of derived views that apply to them; popping
-    /// an entry truncates the view stack back to that depth (recycling
-    /// deeper views through the pool), and a split may push one
-    /// further-specialized view for both children.
+    /// The depth-first branch-and-prune search of one clause.
     fn solve_clause(
         &self,
         engine: &ClauseEngine<'_>,
@@ -606,75 +438,41 @@ impl DeltaSolver {
 
         let mut scratch = engine.scratch();
         let mut fuel_charged = 0;
+        let boxes_before = stats.boxes_explored;
         let result = self.search(engine, domain, stats, &mut scratch, &mut fuel_charged);
         // Charge the tail executed since the last loop-head poll, so the
         // governing budget's fuel count stays exact across the many queries
         // of a verification run.
         self.budget
             .charge_fuel((scratch.instructions_executed - fuel_charged) as u64);
-        let (instructions, tape_len_sum, cuts) = scratch.take_counters();
-        stats.instructions_executed += instructions;
-        stats.specialized_tape_len_sum += tape_len_sum;
-        stats.newton_cuts += cuts;
+        stats.instructions_executed += scratch.instructions_executed;
+        // Every explored box runs on the clause's full tape.
+        stats.specialized_tape_len_sum +=
+            (stats.boxes_explored - boxes_before) * engine.program_len();
         result
     }
 
     /// Contracts and classifies one box **in place**: the body of the
     /// branch-and-prune loop.
-    ///
-    /// With derivative-guided cuts enabled, a cut that narrows the box loops
-    /// back through contraction and classification so the cheaper tests get
-    /// first pick at the narrowed region; the pass count is bounded because
-    /// monotonicity collapses pin whole dimensions.
     fn process_box(
         &self,
         engine: &ClauseEngine<'_>,
         scratch: &mut ClauseScratch,
         region: &mut IntervalBox,
-        view: Option<(&TapeView, &[bool])>,
     ) -> BoxOutcome {
-        scratch.specialized_tape_len_sum += engine.program_len(view);
-        let mut cut_passes = 0;
-        loop {
-            // Contract and classify the box over one shared forward sweep
-            // (per-atom verdicts are recorded for the cut and
-            // re-specialization steps).  Every exit from this loop — and in
-            // particular the δ-termination below — happens on a region that
-            // was classified as it stands: a narrowing cut always loops back
-            // through propagation, never straight to a verdict.
-            match engine.propagate(view, region, self.contraction_rounds, scratch) {
-                ClauseFeasibility::Violated => return BoxOutcome::Pruned,
-                ClauseFeasibility::Satisfied => return BoxOutcome::Sat,
-                ClauseFeasibility::Undecided => {}
-            }
-
-            if !self.newton
-                || cut_passes >= Self::MAX_CUT_PASSES
-                || region.max_width() > self.precision * Self::NEWTON_WINDOW
-            {
-                break;
-            }
-            match engine.derivative_cuts(region, scratch) {
-                CutOutcome::Infeasible => return BoxOutcome::Pruned,
-                CutOutcome::Unchanged => break,
-                CutOutcome::Narrowed => {
-                    scratch.newton_cuts += 1;
-                    cut_passes += 1;
-                }
-            }
+        match engine.propagate(region, self.contraction_rounds, scratch) {
+            ClauseFeasibility::Violated => BoxOutcome::Pruned,
+            ClauseFeasibility::Satisfied => BoxOutcome::Sat,
+            // δ-termination: the box can no longer be refuted by splitting
+            // at the configured precision, so report the δ-weakened SAT
+            // verdict.
+            ClauseFeasibility::Undecided if region.max_width() <= self.precision => BoxOutcome::Sat,
+            ClauseFeasibility::Undecided => BoxOutcome::Split,
         }
-
-        // δ-termination: the box can no longer be refuted by splitting at
-        // the configured precision, so report the δ-weakened SAT verdict.
-        if region.max_width() <= self.precision {
-            return BoxOutcome::Sat;
-        }
-
-        BoxOutcome::Split
     }
 
     /// The loop of [`Self::solve_clause`]: pop a box, poll the budgets,
-    /// process it on the view of its depth, and prune, report, or split.
+    /// process it, and prune, report, or split.
     fn search(
         &self,
         engine: &ClauseEngine<'_>,
@@ -683,16 +481,13 @@ impl DeltaSolver {
         scratch: &mut ClauseScratch,
         fuel_charged: &mut usize,
     ) -> SatResult {
-        let mut spec: Option<SpecState> =
-            (self.specialize && engine.supports_specialization()).then(SpecState::default);
-        // One DFS entry: the box and its depth.
-        let mut stack: Vec<(IntervalBox, u32)> = vec![(domain.clone(), 0)];
+        let mut stack: Vec<IntervalBox> = vec![domain.clone()];
         // Pruned boxes are recycled as the upper halves of later splits, so
         // the steady-state loop allocates nothing: popping moves a box out
         // of the stack, contraction narrows it in place, and
         // `split_widest_into` reuses pooled storage.
         let mut pool: Vec<IntervalBox> = Vec::new();
-        while let Some((mut region, depth)) = stack.pop() {
+        while let Some(mut region) = stack.pop() {
             nncps_fault::panic_point(nncps_fault::SITE_SOLVER_BOX_POP);
             if nncps_fault::fuel_exhaustion(nncps_fault::SITE_SOLVER_BOX_POP) {
                 self.budget.exhaust_fuel();
@@ -711,25 +506,7 @@ impl DeltaSolver {
                 return SatResult::Unknown(ExhaustionReason::Boxes(self.max_boxes));
             }
             stats.boxes_explored += 1;
-            // Trim the view stack to this box's depth-first path.
-            if let Some(state) = spec.as_mut() {
-                while state.views.len() > depth as usize {
-                    let recycled = state.views.pop().expect("length checked");
-                    state.pool.push(recycled);
-                    let recycled_flags = state.flags.pop().expect("parallel stacks");
-                    state.flag_pool.push(recycled_flags);
-                }
-            }
-            let outcome = {
-                let view = spec.as_ref().filter(|_| depth > 0).map(|state| {
-                    (
-                        &state.views[depth as usize - 1],
-                        state.flags[depth as usize - 1].as_slice(),
-                    )
-                });
-                self.process_box(engine, scratch, &mut region, view)
-            };
-            match outcome {
+            match self.process_box(engine, scratch, &mut region) {
                 BoxOutcome::Pruned => {
                     stats.boxes_pruned += 1;
                     pool.push(region);
@@ -737,42 +514,13 @@ impl DeltaSolver {
                 BoxOutcome::Sat => return SatResult::DeltaSat(region),
                 BoxOutcome::Split => {
                     stats.bisections += 1;
-                    // Derive a further-specialized program for the children
-                    // from the forward values and choice trace of the last
-                    // classification sweep; worthless derivations cost one
-                    // linear scan and leave the children on the parent's
-                    // program.
-                    let child_depth = match spec.as_mut() {
-                        Some(state) if (depth as usize) < Self::MAX_SPECIALIZE_DEPTH => {
-                            let SpecState {
-                                views,
-                                flags,
-                                pool: view_pool,
-                                flag_pool,
-                                scratch: spec_scratch,
-                            } = state;
-                            let parent = (depth > 0).then(|| &views[depth as usize - 1]);
-                            let mut derived = view_pool.pop().unwrap_or_default();
-                            if engine.respecialize(parent, scratch, spec_scratch, &mut derived) {
-                                let mut derived_flags = flag_pool.pop().unwrap_or_default();
-                                engine.view_clip_free(&derived, &mut derived_flags);
-                                views.push(derived);
-                                flags.push(derived_flags);
-                                views.len() as u32
-                            } else {
-                                view_pool.push(derived);
-                                depth
-                            }
-                        }
-                        _ => depth,
-                    };
                     let mut right = pool.pop().unwrap_or_default();
                     region.split_widest_into(&mut right);
                     // Depth-first exploration; pushing the halves in this
                     // order keeps the search biased toward the lower corner,
                     // which is as good as any deterministic choice.
-                    stack.push((right, child_depth));
-                    stack.push((region, child_depth));
+                    stack.push(right);
+                    stack.push(region);
                 }
             }
         }
@@ -969,14 +717,12 @@ mod tests {
 
     #[test]
     fn compiled_and_tree_evaluators_explore_identical_box_trees() {
-        // The compiled-tape engine (with region specialization, which is
-        // bit-invisible) must be observationally indistinguishable from the
-        // tree-walking reference: same verdict, same witness box (bitwise),
-        // same statistics — i.e. the same search tree.  Newton cuts change
-        // the tree by design, so the comparison pins them off.
+        // The compiled-tape engine must be observationally
+        // indistinguishable from the tree-walking reference: same verdict,
+        // same witness box (bitwise), same statistics — i.e. the same search
+        // tree.
         for (formula, domain) in differential_queries() {
-            let fast = DeltaSolver::new(1e-4).with_newton_cuts(false);
-            assert!(fast.tape_specialization());
+            let fast = DeltaSolver::new(1e-4);
             let reference = DeltaSolver::new(1e-4).with_tree_evaluator();
             let (fast_result, fast_stats) = fast.solve_with_stats(&formula, &domain);
             let (ref_result, ref_stats) = reference.solve_with_stats(&formula, &domain);
@@ -990,58 +736,6 @@ mod tests {
                 (a, b) => panic!("verdicts diverge on {formula}: {a} vs {b}"),
             }
         }
-    }
-
-    #[test]
-    fn specialization_is_bit_invisible() {
-        // With the search-tree-changing cuts pinned off, toggling region
-        // specialization must not change anything observable.
-        for (formula, domain) in differential_queries() {
-            let on = DeltaSolver::new(1e-4).with_newton_cuts(false);
-            let off = DeltaSolver::new(1e-4)
-                .with_newton_cuts(false)
-                .with_tape_specialization(false);
-            let (a, sa) = on.solve_with_stats(&formula, &domain);
-            let (b, sb) = off.solve_with_stats(&formula, &domain);
-            assert_eq!(sa, sb, "stats diverge on {formula}");
-            match (&a, &b) {
-                (SatResult::DeltaSat(wa), SatResult::DeltaSat(wb)) => {
-                    assert_eq!(wa, wb, "witness boxes diverge on {formula}");
-                }
-                (SatResult::Unsat, SatResult::Unsat) => {}
-                (SatResult::Unknown(_), SatResult::Unknown(_)) => {}
-                (a, b) => panic!("verdicts diverge on {formula}: {a} vs {b}"),
-            }
-        }
-    }
-
-    #[test]
-    fn newton_cuts_agree_on_verdicts_and_shrink_the_search() {
-        let mut some_query_got_cheaper = false;
-        for (formula, domain) in differential_queries() {
-            let with_cuts = DeltaSolver::new(1e-4);
-            let without = DeltaSolver::new(1e-4).with_newton_cuts(false);
-            let (a, sa) = with_cuts.solve_with_stats(&formula, &domain);
-            let (b, sb) = without.solve_with_stats(&formula, &domain);
-            assert_eq!(a.is_unsat(), b.is_unsat(), "verdict diverges on {formula}");
-            assert_eq!(a.is_delta_sat(), b.is_delta_sat(), "on {formula}");
-            // A δ-SAT witness found through cuts must still satisfy the
-            // δ-weakened query.
-            if let SatResult::DeltaSat(region) = &a {
-                let witness = region.midpoint();
-                assert!(domain.contains_point(&witness), "witness left the domain");
-            }
-            if sa.boxes_explored < sb.boxes_explored {
-                some_query_got_cheaper = true;
-            }
-            assert!(
-                sa.boxes_explored <= sb.boxes_explored,
-                "cuts must never grow the sequential search ({formula}): {} vs {}",
-                sa.boxes_explored,
-                sb.boxes_explored
-            );
-        }
-        assert!(some_query_got_cheaper, "cuts never fired on any query");
     }
 
     #[test]
@@ -1061,13 +755,10 @@ mod tests {
     fn instrumentation_counters_are_populated_but_not_compared() {
         let formula = Formula::atom(Constraint::ge(x().tanh() + y(), 0.4));
         let domain = square_domain(1.0);
-        // Precision 1e-2 puts the whole domain inside the Newton window, so
-        // the monotone query is collapsed on the very first box.
         let (result, stats) = DeltaSolver::new(1e-2).solve_with_stats(&formula, &domain);
         assert!(result.is_delta_sat());
         assert!(stats.instructions_executed > 0);
         assert!(stats.specialized_tape_len_sum > 0);
-        assert!(stats.newton_cuts > 0, "monotone query must be cut");
         // Equality deliberately ignores the instrumentation counters…
         let mut other = stats;
         other.instructions_executed += 1;
@@ -1079,7 +770,10 @@ mod tests {
         total.merge(&stats);
         total.merge(&stats);
         assert_eq!(total.instructions_executed, 2 * stats.instructions_executed);
-        assert_eq!(total.newton_cuts, 2 * stats.newton_cuts);
+        assert_eq!(
+            total.specialized_tape_len_sum,
+            2 * stats.specialized_tape_len_sum
+        );
         // The tree reference executes no tape instructions.
         let (_, tree_stats) = DeltaSolver::new(1e-4)
             .with_tree_evaluator()
@@ -1093,11 +787,6 @@ mod tests {
             .with_max_boxes(10)
             .with_contraction_rounds(2);
         assert_eq!(solver.precision(), 1e-3);
-        assert!(solver.tape_specialization());
-        assert!(solver.newton_cuts());
-        let reference = solver.clone().with_tree_evaluator();
-        assert!(!reference.tape_specialization());
-        assert!(!reference.newton_cuts());
         assert_eq!(format!("{}", SatResult::Unsat), "unsat");
         // The Boxes display string is byte-compatible with the pre-governance
         // reason (scenario fingerprints hash it).
@@ -1127,8 +816,8 @@ mod tests {
 
     #[test]
     fn fuel_exhaustion_reports_unknown_with_the_limit() {
-        // `deep_query` completes in a few thousand instructions; a fuel
-        // limit well under that total is guaranteed to exhaust mid-search.
+        // `deep_query` completes in 440 instructions; a fuel limit well
+        // under that total is guaranteed to exhaust mid-search.
         let (formula, domain) = deep_query();
         let solver = DeltaSolver::new(1e-6).with_budget(Budget::unlimited().with_fuel(300));
         let (result, stats) = solver.solve_with_stats(&formula, &domain);
@@ -1140,9 +829,8 @@ mod tests {
         assert!(stats.instructions_executed > 0);
     }
 
-    /// A governed query with `min`/`max`/`abs` choice sites, so the fuel
-    /// count includes the choice-trace recording sweeps that feed
-    /// respecialization.
+    /// A governed query with `min`/`max`/`abs` sites, whose contraction
+    /// takes the piecewise inversions.
     fn choosy_query() -> (Formula, IntervalBox) {
         let w = (x() * 3.0)
             .sin()
@@ -1156,13 +844,14 @@ mod tests {
     fn fuel_truncation_points_are_pinned() {
         // Fuel is the instructions executed per logical box, so a
         // fuel-exhausted solve stops at one exact point of the depth-first
-        // tree.  The expected `(boxes_explored, bisections, fuel_used)`
-        // triples were recorded when the solver still had a batched sibling
-        // evaluator with a separate fuel watermark; they pin that folding
-        // the watermark into the sweep cache moved no exhaustion point.
+        // tree.  Unlimited, the two queries finish δ-SAT after 440 and 576
+        // instructions; each limit below truncates its search mid-way, and
+        // the expected `(boxes_explored, bisections, fuel_used)` triple pins
+        // where.  The last box's sweep overshoots the limit, which is why
+        // `fuel_used` exceeds it.
         let cases = [
-            ("deep", deep_query(), 500, (33, 29, 534)),
-            ("choosy", choosy_query(), 700, (23, 23, 748)),
+            ("deep", deep_query(), 300, (38, 32, 304)),
+            ("choosy", choosy_query(), 500, (21, 21, 504)),
         ];
         for (name, (formula, domain), fuel, expected) in cases {
             let solver = DeltaSolver::new(1e-6).with_budget(Budget::unlimited().with_fuel(fuel));
@@ -1179,38 +868,6 @@ mod tests {
             );
             assert_eq!(stats.instructions_executed as u64, used, "{name}");
         }
-    }
-
-    #[test]
-    fn deep_relu_controller_query_stays_bit_identical_and_cheaper() {
-        // A deep ReLU ladder — the shape of a compiled NN controller — is
-        // the workload choice-trace specialization exists for: every box
-        // decides a few more `max(·, 0)` branches, and the decided prefix
-        // must never be re-derived from scratch.  The solver-visible
-        // contract: specialization is bit-invisible (identical verdict and
-        // search tree) and strictly reduces the work-per-box integral.
-        let mut out = x() * 0.9 + y() * 0.1;
-        for i in 0..24 {
-            // Unit-scale weights keep the signal alive through all layers,
-            // so the search has to descend (and decide ReLUs) to a verdict.
-            let w = 1.0 + 0.01 * (i % 5) as f64;
-            let b = 0.01 * (i % 3) as f64;
-            out = (out * w + b).max(Expr::constant(0.0)) - 0.01;
-        }
-        let formula = Formula::atom(Constraint::ge(out, 0.4));
-        let domain = square_domain(1.5);
-        let spec = DeltaSolver::new(1e-4).with_newton_cuts(false);
-        let plain = spec.clone().with_tape_specialization(false);
-        let (a, sa) = spec.solve_with_stats(&formula, &domain);
-        let (b, sb) = plain.solve_with_stats(&formula, &domain);
-        assert_eq!(a.witness(), b.witness());
-        assert_eq!(sa, sb);
-        assert!(
-            sa.specialized_tape_len_sum < sb.specialized_tape_len_sum,
-            "specialization never shortened the deep ReLU program: {} vs {}",
-            sa.specialized_tape_len_sum,
-            sb.specialized_tape_len_sum
-        );
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use nncps_deltasat::{ClauseFeasibility, CompiledClause, Constraint, CutOutcome};
-use nncps_expr::{Expr, SpecializeScratch, TapeView};
+use nncps_deltasat::{ClauseFeasibility, CompiledClause, Constraint};
+use nncps_expr::Expr;
 use nncps_interval::IntervalBox;
 
 struct CountingAllocator;
@@ -133,141 +133,5 @@ fn steady_state_box_loop_does_not_allocate() {
             allocations() - before
         },
         "the steady-state box loop",
-    );
-}
-
-/// The specialized loop: region specialization (per-depth view derivation over
-/// pooled `TapeView`s) plus derivative-guided cuts must also run
-/// allocation-free once warm.  The gradient bundle compiles lazily on first
-/// use, so `ensure_gradients` is part of the warm-up.
-#[test]
-fn specialization_and_newton_steady_state_does_not_allocate() {
-    let _serial = serialize();
-    let x = Expr::var(0);
-    let y = Expr::var(1);
-    // A ring equality keeps the search tree deep (the interval-Newton step
-    // narrows but cannot collapse dimensions), the `min`/`abs` constraint
-    // gives specialization choices to decide, and the third constraint is
-    // satisfied on most sub-regions, exercising atom dropping.
-    let clause = CompiledClause::compile(&[
-        Constraint::eq(
-            x.clone().powi(2) + y.clone().powi(2) + (x.clone() * 5.0).sin() * 0.2,
-            1.0,
-        ),
-        Constraint::ge((x.clone().abs() + 2.0).min(y.clone() + 4.0), 0.5),
-        Constraint::le(y.clone().tanh() * 0.25 + x.clone() * 0.01, 2.0),
-    ]);
-    clause.ensure_gradients();
-    let mut scratch = clause.scratch();
-    let mut spec_scratch = SpecializeScratch::default();
-    let domain = IntervalBox::from_bounds(&[(-2.0, 2.0), (-2.0, 2.0)]);
-
-    // The solver's sequential loop body, including the view stack.
-    let mut stack: Vec<(IntervalBox, u32)> = vec![(domain.clone(), 0)];
-    let mut pool: Vec<IntervalBox> = Vec::new();
-    let mut views: Vec<TapeView> = Vec::new();
-    let mut view_pool: Vec<TapeView> = Vec::new();
-    let run = |stack: &mut Vec<(IntervalBox, u32)>,
-               pool: &mut Vec<IntervalBox>,
-               views: &mut Vec<TapeView>,
-               view_pool: &mut Vec<TapeView>,
-               scratch: &mut nncps_deltasat::ClauseScratch,
-               spec_scratch: &mut SpecializeScratch,
-               boxes: usize| {
-        let mut explored = 0;
-        while let Some((mut region, depth)) = stack.pop() {
-            explored += 1;
-            while views.len() > depth as usize {
-                view_pool.push(views.pop().unwrap());
-            }
-            let mut retire = false;
-            for _pass in 0..3 {
-                let view = (depth > 0).then(|| &views[depth as usize - 1]);
-                if !clause.contract_with_view(view, &mut region, 4, scratch) || region.is_empty() {
-                    retire = true;
-                    break;
-                }
-                match clause.feasibility_with_view(view, &region, scratch) {
-                    ClauseFeasibility::Violated | ClauseFeasibility::Satisfied => {
-                        retire = true;
-                        break;
-                    }
-                    ClauseFeasibility::Undecided => {}
-                }
-                match clause.derivative_cuts(&mut region, scratch) {
-                    CutOutcome::Infeasible => {
-                        retire = true;
-                        break;
-                    }
-                    CutOutcome::Unchanged => break,
-                    CutOutcome::Narrowed => {}
-                }
-            }
-            if retire || region.max_width() <= 1e-7 {
-                pool.push(region);
-            } else {
-                let child_depth = if (depth as usize) < 64 {
-                    let parent = (depth > 0).then(|| &views[depth as usize - 1]);
-                    let mut derived = view_pool.pop().unwrap_or_default();
-                    if clause.respecialize(parent, scratch, spec_scratch, &mut derived) {
-                        views.push(derived);
-                        views.len() as u32
-                    } else {
-                        view_pool.push(derived);
-                        depth
-                    }
-                } else {
-                    depth
-                };
-                let mut right = pool.pop().unwrap_or_default();
-                region.split_widest_into(&mut right);
-                stack.push((right, child_depth));
-                stack.push((region, child_depth));
-            }
-            if explored >= boxes {
-                break;
-            }
-        }
-    };
-
-    // Warm-up: grow every buffer — clause scratch, gradient slots, view
-    // stack, view pool, specialization scratch — to its high-water mark.
-    run(
-        &mut stack,
-        &mut pool,
-        &mut views,
-        &mut view_pool,
-        &mut scratch,
-        &mut spec_scratch,
-        400,
-    );
-    assert!(!stack.is_empty(), "warm-up must leave work pending");
-
-    // Each attempt resets to the initial search state without freeing
-    // anything, then re-runs the identical workload.
-    assert_steady_state_allocation_free(
-        || {
-            while let Some((region, _)) = stack.pop() {
-                pool.push(region);
-            }
-            while let Some(view) = views.pop() {
-                view_pool.push(view);
-            }
-            let mut seed = pool.pop().expect("warm-up created boxes");
-            seed.clone_from(&domain);
-            stack.push((seed, 0));
-            let before = allocations();
-            run(
-                &mut stack,
-                &mut pool,
-                &mut views,
-                &mut view_pool,
-                &mut scratch,
-                &mut spec_scratch,
-                400,
-            );
-            allocations() - before
-        },
-        "the specialization + newton steady-state loop",
     );
 }

@@ -1,7 +1,7 @@
 //! Structural fingerprints: 128-bit identity keys for expression DAGs.
 //!
 //! The scenario sweep engine reuses compiled artifacts (evaluation tapes,
-//! compiled δ-SAT formulas, gradient bundles) across family members that
+//! compiled δ-SAT formulas) across family members that
 //! share dynamics.  The cache key must capture *everything* the compiled
 //! artifact depends on — operator structure, variable indices, and the exact
 //! bits of every constant — so that a key hit is guaranteed to return an

@@ -45,13 +45,11 @@ mod expr;
 pub mod fingerprint;
 mod ops;
 mod simplify;
-pub mod specialize;
 mod tape;
 mod vars;
 
 pub use expr::{Expr, ExprView};
 pub use fingerprint::{Fingerprint, StructuralHasher};
 pub use ops::{BinaryOp, UnaryOp};
-pub use specialize::{ChoiceAnalysis, SpecializeScratch, TapeView};
-pub use tape::{Choice, Tape, TapeInstr};
+pub use tape::{Tape, TapeInstr};
 pub use vars::VarSet;

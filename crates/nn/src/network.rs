@@ -176,60 +176,6 @@ impl FeedforwardNetwork {
         Tape::compile_many(&self.forward_symbolic(inputs))
     }
 
-    /// Compiles the network outputs **and** their partial derivatives with
-    /// respect to every input into one shared [`Tape`].
-    ///
-    /// Root layout: the first [`FeedforwardNetwork::output_dim`] roots are
-    /// the outputs, followed by `∂output_o/∂input_i` in row-major order
-    /// (`o * inputs.len() + i`).  Because the chain-rule terms of every
-    /// derivative reference the same hidden pre-activations as the outputs,
-    /// hash-consing CSE computes each neuron once for the whole bundle, at
-    /// a fraction of the unrolled tree size.
-    ///
-    /// This is the network-level counterpart of the per-clause gradient
-    /// bundles the δ-SAT solver compiles internally for its
-    /// derivative-guided cuts (which differentiate whole constraint
-    /// expressions, not networks): use it when you need controller
-    /// sensitivities directly — Jacobian-based analyses, linearization, or
-    /// hand-built queries over `u` and `∇u` — with the same shared-CSE
-    /// economics.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nncps_expr::Expr;
-    /// use nncps_nn::FeedforwardNetwork;
-    ///
-    /// let network = FeedforwardNetwork::paper_architecture(8);
-    /// let inputs = [Expr::var(0), Expr::var(1)];
-    /// let bundle = network.compile_gradient_bundle(&inputs);
-    /// assert_eq!(bundle.num_roots(), 1 + 2); // output + two partials
-    ///
-    /// // The bundled gradient agrees with standalone differentiation.
-    /// let u = network.forward_symbolic(&inputs)[0].clone();
-    /// let mut slots = Vec::new();
-    /// bundle.eval_scalar_into(&[0.3, -0.1], &mut slots);
-    /// assert_eq!(
-    ///     slots[bundle.root_slot(1)].to_bits(),
-    ///     u.differentiate(0).simplified().eval(&[0.3, -0.1]).to_bits(),
-    /// );
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != self.input_dim()`.
-    pub fn compile_gradient_bundle(&self, inputs: &[Expr]) -> Tape {
-        let outputs = self.forward_symbolic(inputs);
-        let mut roots = Vec::with_capacity(outputs.len() * (1 + inputs.len()));
-        roots.extend(outputs.iter().cloned());
-        for output in &outputs {
-            for var in 0..inputs.len() {
-                roots.push(output.differentiate(var).simplified());
-            }
-        }
-        Tape::compile_many(&roots)
-    }
-
     /// Flattens all parameters into a single vector (layer by layer, weights
     /// row-major then biases), the format consumed by the CMA-ES policy
     /// search.

@@ -71,11 +71,11 @@ pub struct RunStats {
     pub clauses_examined: usize,
     /// Total tape instructions executed by solver forward sweeps.
     pub instructions_executed: usize,
-    /// Σ of active (possibly region-specialized) program lengths over all
-    /// solver boxes — the work-per-box integral specialization shrinks.
+    /// Σ of clause tape lengths over all solver boxes (see
+    /// [`SolverStats::specialized_tape_len_sum`](nncps_deltasat::SolverStats::specialized_tape_len_sum)).
     pub specialized_tape_len_sum: usize,
-    /// Derivative-guided cuts (monotonicity collapses + interval-Newton
-    /// narrowings) applied by the solver.
+    /// Always `0` (see
+    /// [`SolverStats::newton_cuts`](nncps_deltasat::SolverStats::newton_cuts)).
     pub newton_cuts: usize,
 }
 

@@ -100,3 +100,31 @@ fn expected_baseline_stays_in_sync_with_the_builtin_registry() {
         "regenerate with: cargo run --release --bin nncps-batch -- --write-expected SCENARIOS_expected.json"
     );
 }
+
+#[test]
+fn cold_registry_solver_counters_are_pinned() {
+    // The δ-SAT work of a cold registry run is a pure function of the search
+    // trees, so its summed counters are exact.  Pinning them catches any
+    // algorithmic drift of the solver (more boxes, more bisections, more
+    // tape instructions per box); it cannot catch a constant-factor
+    // slowdown, which leaves every counter unchanged.  Re-pin only on
+    // purpose, with the reason recorded in CHANGES.md.
+    let report = run_batch(
+        &Registry::builtin(),
+        &BatchOptions {
+            threads: 1,
+            ..BatchOptions::default()
+        },
+    );
+    let mut totals = (0, 0, 0);
+    for result in &report.results {
+        totals.0 += result.stats.boxes_explored;
+        totals.1 += result.stats.bisections;
+        totals.2 += result.stats.instructions_executed;
+    }
+    assert_eq!(
+        totals,
+        (2_465, 1_201, 535_037),
+        "(boxes_explored, bisections, instructions_executed) of the cold registry"
+    );
+}

@@ -5,17 +5,18 @@
 //!
 //! "Identical" is strict: the same verdict, the same witness box bit for
 //! bit, and the same search statistics (boxes explored / pruned /
-//! bisections), i.e. both evaluators walk the same box tree.  Region
-//! specialization stays enabled on the compiled side (it must be
-//! bit-invisible); the derivative-guided Newton/monotonicity cuts are pinned
-//! off for the bit-identity half (they change the search tree by design) and
-//! covered separately by verdict-equivalence assertions.
+//! bisections), i.e. both evaluators walk the same box tree.  The compiled
+//! side is the default solver, exactly as the pipeline runs it.
 
-use nncps_barrier::{ClosedLoopSystem, QuadraticTemplate, QueryBuilder, SafetySpec};
+use nncps_barrier::{
+    ClosedLoopSystem, QuadraticTemplate, QueryBuilder, SafetySpec, VerificationRequest,
+    VerificationSession,
+};
 use nncps_deltasat::{Constraint, DeltaSolver, Formula, SatResult};
 use nncps_dubins::{reference_controller, ErrorDynamics};
 use nncps_expr::Expr;
 use nncps_interval::IntervalBox;
+use nncps_scenarios::Registry;
 
 fn paper_spec() -> SafetySpec {
     let eps = 0.01;
@@ -26,10 +27,17 @@ fn paper_spec() -> SafetySpec {
     )
 }
 
-fn assert_identical(what: &str, formula: &Formula, domain: &IntervalBox, solver: DeltaSolver) {
-    let fast = solver.clone().with_newton_cuts(false);
+/// Solves the query through the default (compiled) solver and through the
+/// tree-walking reference, asserts both explore the same box tree, and
+/// returns the shared verdict.
+fn assert_identical(
+    what: &str,
+    formula: &Formula,
+    domain: &IntervalBox,
+    solver: DeltaSolver,
+) -> SatResult {
     let reference = solver.clone().with_tree_evaluator();
-    let (fast_result, fast_stats) = fast.solve_with_stats(formula, domain);
+    let (fast_result, fast_stats) = solver.solve_with_stats(formula, domain);
     let (ref_result, ref_stats) = reference.solve_with_stats(formula, domain);
     assert_eq!(fast_stats, ref_stats, "{what}: stats diverge");
     match (&fast_result, &ref_result) {
@@ -42,32 +50,7 @@ fn assert_identical(what: &str, formula: &Formula, domain: &IntervalBox, solver:
         }
         (a, b) => panic!("{what}: verdicts diverge: {a} vs {b}"),
     }
-    // The derivative-guided default must reach the same verdict without
-    // growing the sequential search, and its witnesses must stay valid
-    // domain points.
-    let (cut_result, cut_stats) = solver.solve_with_stats(formula, domain);
-    assert_eq!(
-        cut_result.is_unsat(),
-        ref_result.is_unsat(),
-        "{what}: newton cuts flip unsat"
-    );
-    assert_eq!(
-        cut_result.is_delta_sat(),
-        ref_result.is_delta_sat(),
-        "{what}: newton cuts flip delta-sat"
-    );
-    assert!(
-        cut_stats.boxes_explored <= ref_stats.boxes_explored,
-        "{what}: newton cuts grew the search ({} vs {})",
-        cut_stats.boxes_explored,
-        ref_stats.boxes_explored
-    );
-    if let SatResult::DeltaSat(region) = &cut_result {
-        assert!(
-            domain.contains_box(region),
-            "{what}: newton witness escaped the domain"
-        );
-    }
+    fast_result
 }
 
 #[test]
@@ -139,4 +122,42 @@ fn nn_output_bound_query_explores_identical_box_tree() {
     let query = Formula::atom(Constraint::ge(symbolic, 1.0001));
     let domain = IntervalBox::from_bounds(&[(-5.0, 5.0), (-2.0, 2.0)]);
     assert_identical("nn bound", &query, &domain, DeltaSolver::new(1e-4));
+}
+
+#[test]
+fn registry_certificates_reprove_identically_through_both_evaluators() {
+    // Every builtin scenario is verified cold; each certificate it produces
+    // rests on three UNSAT answers, which are re-derived here through the
+    // compiled solver and the tree reference with the scenario's own solver
+    // settings: query (5) (decrease) for the final generator, and queries
+    // (6) and (7) (level-set containment and disjointness) at its level.
+    let registry = Registry::builtin();
+    let mut certified = 0;
+    for scenario in registry.iter() {
+        let system = scenario.build_system();
+        let config = scenario.config();
+        let request = VerificationRequest::over(&system).with_config(config.clone());
+        let outcome = VerificationSession::new().verify(&request.cold());
+        let Some(certificate) = outcome.certificate() else {
+            continue;
+        };
+        certified += 1;
+        let name = scenario.name();
+        let solver = DeltaSolver::new(config.delta).with_max_boxes(config.max_smt_boxes);
+        let queries = QueryBuilder::new(&system, config.gamma);
+        let generator = certificate.generator();
+        let level = certificate.level();
+
+        let (q5, domain) = queries.decrease_query(generator);
+        let verdict = assert_identical(&format!("{name}: (5)"), &q5, &domain, solver.clone());
+        assert!(verdict.is_unsat(), "{name}: (5) is {verdict}");
+        let (q6, domain) = queries.initial_containment_query(generator, level);
+        let verdict = assert_identical(&format!("{name}: (6)"), &q6, &domain, solver.clone());
+        assert!(verdict.is_unsat(), "{name}: (6) is {verdict}");
+        if let Some((q7, domain)) = queries.unsafe_disjointness_query(generator, level) {
+            let verdict = assert_identical(&format!("{name}: (7)"), &q7, &domain, solver);
+            assert!(verdict.is_unsat(), "{name}: (7) is {verdict}");
+        }
+    }
+    assert_eq!(certified, 7, "the registry pins seven certified scenarios");
 }
