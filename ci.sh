@@ -209,15 +209,15 @@ if [ "$quick" != "quick" ]; then
         "$bench_json" BENCH_pr5.json
 
     # Closed-loop simulation: RK4 over the width-100 Dubins field through
-    # the compiled tape and a per-trace workspace is held to >= 1.5x over the
-    # tree-walking, allocating reference, measured within this run.
+    # the fused scalar program and a per-trace workspace is held to >= 3.0x
+    # over the tree-walking, allocating reference, measured within this run.
     echo "==> bench-regression: compiled closed-loop simulation speedup"
     CRITERION_JSON="$bench_json" \
         cargo bench --bench substrate_micro -- "substrate/sim/closed_loop_w100/"
     cargo run --release -p nncps_bench --bin bench-compare -- \
         "$bench_json" --speedup \
         "substrate/sim/closed_loop_w100/tree" \
-        "substrate/sim/closed_loop_w100/compiled" --min 1.5
+        "substrate/sim/closed_loop_w100/compiled" --min 3.0
 
     # PR 7: resource governance.  The budget-poll overhead on the headline
     # decrease query is held to <=2% (best-case sample times, governed vs

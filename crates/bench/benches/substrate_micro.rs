@@ -179,7 +179,8 @@ fn sim_bench(c: &mut Criterion) {
     // exported symbolically.  `tree` walks every component with `Expr::eval`
     // per evaluation (the reference the compiled path must match bit for
     // bit); `compiled` integrates the system itself, which evaluates its
-    // field through one tape and steps through a per-trace workspace.
+    // field through one fused scalar program and steps through a per-trace
+    // workspace.
     let system = paper_system(100);
     let field = system.vector_field();
     let tree = FnDynamics::new(field.len(), |x: &[f64]| {

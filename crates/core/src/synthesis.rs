@@ -491,8 +491,8 @@ mod tests {
     fn samples_outside_domain_are_ignored() {
         let mut synthesizer = CandidateSynthesizer::new(spec());
         let mut trace = Trace::new(2);
-        trace.push(0.0, vec![10.0, 10.0]);
-        trace.push(0.1, vec![9.0, 9.0]);
+        trace.push(0.0, &[10.0, 10.0]);
+        trace.push(0.1, &[9.0, 9.0]);
         synthesizer.add_trace(&trace);
         assert_eq!(synthesizer.num_constraints(), 0);
         assert_eq!(synthesizer.samples_used(), 0);

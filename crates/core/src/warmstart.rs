@@ -359,7 +359,7 @@ mod tests {
         let replayed = fresh.traces_or_insert(trace_key, || panic!("must replay from disk"));
         assert_eq!(replayed.len(), built.len());
         assert_eq!(replayed[0].times(), built[0].times());
-        assert_eq!(replayed[0].states(), built[0].states());
+        assert!(replayed[0].states().eq(built[0].states()));
         let candidate =
             fresh.candidate_or_insert(candidate_key, || panic!("must replay from disk"));
         assert_eq!(*candidate, Ok(generator));

@@ -5,7 +5,8 @@
 //! shared subtrees and constant subexpressions) are compiled to tapes and
 //! checked against the tree on three levels:
 //!
-//! 1. scalar and interval evaluation produce the same bits,
+//! 1. interval evaluation, and scalar evaluation through the
+//!    [`ScalarProgram`] lowered from the tape, produce the same bits,
 //! 2. one HC4 revise and a full clause contraction narrow boxes to the same
 //!    bits and reach the same fixpoint,
 //! 3. the branch-and-prune solver explores the identical box tree (same
@@ -15,7 +16,7 @@ use nncps_deltasat::{
     contract_clause, hc4_revise, CompiledClause, Constraint, DeltaSolver, Formula, Relation,
     SatResult,
 };
-use nncps_expr::{Expr, Tape};
+use nncps_expr::{Expr, ExprView, ScalarProgram, Tape};
 use nncps_interval::IntervalBox;
 use proptest::prelude::*;
 
@@ -137,6 +138,24 @@ fn decode_choosy_expr(tokens: &[usize], consts: &[f64]) -> Expr {
         .unwrap_or_else(|| Expr::var(0))
 }
 
+/// Evaluates `expr` at `point` like [`Expr::eval`], clearing `all_finite`
+/// if the value of any subexpression (every intermediate result of the
+/// walk) is not finite.
+fn eval_checking_finite(expr: &Expr, point: &[f64], all_finite: &mut bool) -> f64 {
+    let value = match expr.view() {
+        ExprView::Const(c) => c,
+        ExprView::Var(i) => point[i],
+        ExprView::Unary(op, a) => op.apply(eval_checking_finite(a, point, all_finite)),
+        ExprView::Binary(op, a, b) => {
+            let a = eval_checking_finite(a, point, all_finite);
+            op.apply(a, eval_checking_finite(b, point, all_finite))
+        }
+        ExprView::Powi(a, n) => eval_checking_finite(a, point, all_finite).powi(n),
+    };
+    *all_finite &= value.is_finite();
+    value
+}
+
 fn assert_interval_bits(a: nncps_interval::Interval, b: nncps_interval::Interval, what: &str) {
     assert_eq!(a.lo().to_bits(), b.lo().to_bits(), "{what} lo");
     assert_eq!(a.hi().to_bits(), b.hi().to_bits(), "{what} hi");
@@ -159,7 +178,9 @@ proptest! {
         let expr = decode_expr(&tokens, &consts);
         let tape = Tape::compile(&expr);
         prop_assert!(tape.num_slots() <= expr.node_count());
-        prop_assert_eq!(tape.eval(&[px, py]).to_bits(), expr.eval(&[px, py]).to_bits());
+        let program = ScalarProgram::compile(&expr);
+        prop_assert!(program.num_ops() <= tape.num_slots());
+        prop_assert_eq!(program.eval(&[px, py]).to_bits(), expr.eval(&[px, py]).to_bits());
     }
 
     #[test]
@@ -230,16 +251,15 @@ proptest! {
         let px = -3.0 + 6.0 * tx;
         let py = -3.0 + 6.0 * ty;
         let tape = Tape::compile(&expr);
-        let mut slots = Vec::new();
-        tape.eval_scalar_into(&[px, py], &mut slots);
-        prop_assume!(slots.iter().all(|v| v.is_finite()));
+        let mut all_finite = true;
+        let value = eval_checking_finite(&expr, &[px, py], &mut all_finite);
+        prop_assume!(all_finite);
         let mut interval_slots = Vec::new();
         tape.eval_interval_into(
             &IntervalBox::from_bounds(&[(-3.0, 3.0), (-3.0, 3.0)]),
             &mut interval_slots,
         );
         prop_assume!(interval_slots.iter().all(|v| !v.is_empty()));
-        let value = slots[tape.root_slot(0)];
         let constraint = Constraint::le(expr, bound);
         let satisfied = value <= bound;
         prop_assume!(satisfied);

@@ -213,7 +213,7 @@ mod tests {
         let sim = Simulator::new(Integrator::RungeKutta4, 0.01, 2.0);
         let a = sim.simulate(&dynamics, &[0.5, 0.1]);
         let b = sim.simulate(&expr_dynamics, &[0.5, 0.1]);
-        for (sa, sb) in a.states().iter().zip(b.states()) {
+        for (sa, sb) in a.states().zip(b.states()) {
             assert!((sa[0] - sb[0]).abs() < 1e-9);
             assert!((sa[1] - sb[1]).abs() < 1e-9);
         }

@@ -132,8 +132,8 @@ impl TrainingEnv {
         // Initial heading aligned with the first path segment.
         let initial_errors = self.path.errors(start.0, start.1, 0.0);
         let mut state = [start.0, start.1, initial_errors.tangent_angle];
-        let mut trace = Trace::new(3);
-        trace.push(0.0, state.to_vec());
+        let mut trace = Trace::with_capacity(3, self.steps + 1);
+        trace.push(0.0, &state);
         let mut cost = 0.0;
         for k in 0..self.steps {
             let errors = self.path.errors(state[0], state[1], state[2]);
@@ -142,7 +142,7 @@ impl TrainingEnv {
                 + 1e5 * errors.angle * errors.angle
                 + 100.0 * u * u;
             state = self.car.step(state, u, self.dt);
-            trace.push((k + 1) as f64 * self.dt, state.to_vec());
+            trace.push((k + 1) as f64 * self.dt, &state);
         }
         let end = self.path.end();
         let terminal = (end.0 - state[0]).powi(2) + (end.1 - state[1]).powi(2);

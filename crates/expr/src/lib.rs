@@ -13,10 +13,15 @@
 //! `min`/`max`.  Variables are identified by index into a [`VarSet`], which
 //! maps human-readable names (such as `d_err`, `theta_err`) to indices.
 //!
-//! Hot paths (the δ-SAT solver's per-box loop in particular) should not walk
-//! the tree repeatedly: [`Tape`] lowers one or more expressions into a flat,
-//! CSE-deduplicated instruction program whose scalar and interval evaluation
-//! is bit-identical to the tree's but allocation-free and cache-friendly.
+//! Hot paths should not walk the tree repeatedly.  Two compiled forms are
+//! bit-identical to it but allocation-free and cache-friendly:
+//!
+//! * [`Tape`] lowers one or more expressions into a flat, CSE-deduplicated
+//!   SSA program: the interval IR that the δ-SAT solver's per-box loop and
+//!   HC4 contractor run.
+//! * [`ScalarProgram`] is lowered from a tape for point evaluation (the
+//!   simulator's field): constants become registers and each linear chain
+//!   `b + Σ cⱼ·xⱼ` — a neuron's pre-activation — runs as one instruction.
 //!
 //! # Examples
 //!
@@ -44,6 +49,7 @@ mod eval;
 mod expr;
 pub mod fingerprint;
 mod ops;
+mod scalar;
 mod simplify;
 mod tape;
 mod vars;
@@ -51,5 +57,6 @@ mod vars;
 pub use expr::{Expr, ExprView};
 pub use fingerprint::{Fingerprint, StructuralHasher};
 pub use ops::{BinaryOp, UnaryOp};
+pub use scalar::ScalarProgram;
 pub use tape::{Tape, TapeInstr};
 pub use vars::VarSet;

@@ -1,10 +1,10 @@
 //! Compiled evaluation tapes: flat SSA programs lowered from [`Expr`] trees.
 //!
-//! The δ-SAT hot loop evaluates the same expressions millions of times — once
-//! per box for feasibility, and once per node per box inside the HC4
-//! contractor.  Walking the `Arc`-linked tree is cache-hostile and repeats
-//! every shared subexpression per occurrence.  A [`Tape`] fixes both problems
-//! at compile time:
+//! The δ-SAT hot loop evaluates the same expressions millions of times over
+//! interval boxes — once per box for feasibility, and once per node per box
+//! inside the HC4 contractor.  Walking the `Arc`-linked tree is
+//! cache-hostile and repeats every shared subexpression per occurrence.  A
+//! [`Tape`] fixes both problems at compile time:
 //!
 //! * **Lowering** flattens the tree into a topologically ordered instruction
 //!   list (children always precede parents), stored struct-of-arrays, so a
@@ -16,8 +16,7 @@
 //! * **Constant folding** collapses variable-free subtrees into `Const`
 //!   instructions.  A folded constant stores both its scalar value and the
 //!   *interval enclosure* the runtime interval evaluation of the subtree
-//!   would have produced, so folding is bit-invisible: scalar and interval
-//!   results are identical to evaluating the original tree.
+//!   would have produced, so folding is bit-invisible.
 //! * Evaluation is a non-recursive register machine writing into a
 //!   caller-owned slot buffer, so steady-state evaluation performs **zero
 //!   heap allocations** — the buffers are reused across calls.
@@ -26,20 +25,25 @@
 //! be compiled into one tape with [`Tape::compile_many`], sharing slots
 //! across roots.
 //!
+//! The tape is the *interval* IR.  Point evaluation goes through a
+//! [`ScalarProgram`](crate::ScalarProgram), which is lowered from a tape
+//! (reusing its CSE and folding) and fuses its constant loads and linear
+//! chains away.
+//!
 //! # Determinism
 //!
-//! For any expression and input, [`Tape::eval`] is bit-identical to
-//! [`Expr::eval`] and [`Tape::eval_box`] is bit-identical to
-//! [`Expr::eval_box`]: the tape performs the same floating-point operations
-//! in the same dependency order, merely skipping redundant recomputation of
-//! shared subexpressions (which would produce the same bits) and
-//! pre-computing variable-free subexpressions (storing exactly the bits the
-//! runtime would produce).
+//! For any expression and box, [`Tape::eval_box`] is bit-identical to
+//! [`Expr::eval_box`]: the tape performs the same interval operations in the
+//! same dependency order, merely skipping redundant recomputation of shared
+//! subexpressions (which would produce the same bits) and pre-computing
+//! variable-free subexpressions (storing exactly the bits the runtime would
+//! produce).
 //!
 //! # Examples
 //!
 //! ```
 //! use nncps_expr::{Expr, Tape};
+//! use nncps_interval::IntervalBox;
 //!
 //! let x = Expr::var(0);
 //! let shared = (x.clone() * 2.0).tanh();
@@ -47,7 +51,10 @@
 //! let f = shared.clone() + shared.clone() * x.clone();
 //! let tape = Tape::compile(&f);
 //! assert!(tape.num_slots() < f.node_count());
-//! assert_eq!(tape.eval(&[0.3]).to_bits(), f.eval(&[0.3]).to_bits());
+//! let region = IntervalBox::from_bounds(&[(0.25, 0.5)]);
+//! let (compiled, tree) = (tape.eval_box(&region), f.eval_box(&region));
+//! assert_eq!(compiled.lo().to_bits(), tree.lo().to_bits());
+//! assert_eq!(compiled.hi().to_bits(), tree.hi().to_bits());
 //! ```
 
 use std::collections::HashMap;
@@ -114,13 +121,14 @@ pub enum TapeInstr {
     Powi(usize, i32),
 }
 
-/// A compiled, immutable evaluation program shared by scalar and interval
-/// evaluation (and by the δ-SAT solver's HC4 contractor).
+/// A compiled, immutable evaluation program: the interval IR of the δ-SAT
+/// solver and its HC4 contractor, and the input a
+/// [`ScalarProgram`](crate::ScalarProgram) is lowered from.
 ///
 /// Lowering performs common-subexpression elimination and constant folding;
 /// evaluation is a non-recursive register machine over caller-owned slot
-/// buffers whose scalar and interval results are bit-identical to
-/// [`Expr::eval`] / [`Expr::eval_box`] on the compiled expressions.
+/// buffers whose interval results are bit-identical to [`Expr::eval_box`]
+/// on the compiled expressions.
 ///
 /// # Examples
 ///
@@ -427,46 +435,12 @@ impl Tape {
         }
     }
 
-    fn check_scalar_inputs(&self, len: usize) {
-        assert!(
-            self.num_vars <= len,
-            "expression references variable x{} but only {len} values were supplied",
-            self.num_vars - 1
-        );
-    }
-
     fn check_box_inputs(&self, dim: usize) {
         assert!(
             self.num_vars <= dim,
             "expression references variable x{} but the box has {dim} dimensions",
             self.num_vars - 1
         );
-    }
-
-    /// Evaluates every slot at a point, reusing `slots` as the register file
-    /// (it is resized to [`Tape::num_slots`] and overwritten in place; once
-    /// warm no allocation occurs).
-    ///
-    /// Root values are read back via `slots[self.root_slot(k)]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tape references a variable index out of bounds for
-    /// `values`.
-    pub fn eval_scalar_into(&self, values: &[f64], slots: &mut Vec<f64>) {
-        self.check_scalar_inputs(values.len());
-        slots.resize(self.ops.len(), 0.0);
-        let instrs = self.ops.iter().zip(&self.lhs).zip(&self.rhs);
-        for (i, ((&op, &lhs), &rhs)) in instrs.enumerate() {
-            let lhs = lhs as usize;
-            slots[i] = match op {
-                OpCode::Const => self.const_scalars[lhs],
-                OpCode::Var => values[lhs],
-                OpCode::Unary(op) => op.apply(slots[lhs]),
-                OpCode::Binary(op) => op.apply(slots[lhs], slots[rhs as usize]),
-                OpCode::Powi => slots[lhs].powi(rhs as i32),
-            };
-        }
     }
 
     /// Evaluates every slot over an interval box, reusing `slots` as the
@@ -518,21 +492,6 @@ impl Tape {
         }
     }
 
-    /// Evaluates the first root at a point (convenience wrapper allocating a
-    /// fresh slot buffer; hot paths should use [`Tape::eval_scalar_into`]).
-    ///
-    /// Bit-identical to [`Expr::eval`] on the compiled expression.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tape has no roots or references an out-of-bounds
-    /// variable.
-    pub fn eval(&self, values: &[f64]) -> f64 {
-        let mut slots = Vec::new();
-        self.eval_scalar_into(values, &mut slots);
-        slots[self.root_slot(0)]
-    }
-
     /// Evaluates the first root over a box (convenience wrapper; hot paths
     /// should use [`Tape::eval_interval_into`]).
     ///
@@ -552,6 +511,7 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScalarProgram;
 
     fn x() -> Expr {
         Expr::var(0)
@@ -559,15 +519,6 @@ mod tests {
 
     fn y() -> Expr {
         Expr::var(1)
-    }
-
-    #[test]
-    fn scalar_evaluation_is_bit_identical_to_tree() {
-        let f = (x().sin() * y() + (-(x().powi(2))).exp()).tanh() / (y() + 3.0);
-        let tape = Tape::compile(&f);
-        for p in [[1.2, -0.5], [0.0, 0.0], [-3.3, 2.0]] {
-            assert_eq!(tape.eval(&p).to_bits(), f.eval(&p).to_bits());
-        }
     }
 
     #[test]
@@ -591,7 +542,8 @@ mod tests {
         let tape = Tape::compile(&f);
         // Slots: x, 2, x*2, tanh, tanh*tanh, tanh+product = 6 < node_count.
         assert!(tape.num_slots() < f.node_count());
-        assert_eq!(tape.eval(&[0.7]).to_bits(), f.eval(&[0.7]).to_bits());
+        let program = ScalarProgram::lower(&tape);
+        assert_eq!(program.eval(&[0.7]).to_bits(), f.eval(&[0.7]).to_bits());
     }
 
     #[test]
@@ -600,7 +552,8 @@ mod tests {
         let tape = Tape::compile(&f);
         // folded constant, x, sum.
         assert_eq!(tape.num_slots(), 3);
-        assert_eq!(tape.eval(&[0.25]).to_bits(), f.eval(&[0.25]).to_bits());
+        let program = ScalarProgram::lower(&tape);
+        assert_eq!(program.eval(&[0.25]).to_bits(), f.eval(&[0.25]).to_bits());
         // The folded constant's interval enclosure matches the runtime one.
         let region = IntervalBox::from_bounds(&[(0.0, 1.0)]);
         let tree = f.eval_box(&region);
@@ -640,11 +593,12 @@ mod tests {
         assert_eq!(tape.num_roots(), 3);
         let separate: usize = roots.iter().map(Expr::node_count).sum();
         assert!(tape.num_slots() < separate);
-        let mut slots = Vec::new();
-        tape.eval_scalar_into(&[0.4, -0.2], &mut slots);
+        let program = ScalarProgram::lower(&tape);
+        let mut registers = Vec::new();
+        program.eval_into(&[0.4, -0.2], &mut registers);
         for (k, root) in roots.iter().enumerate() {
             assert_eq!(
-                slots[tape.root_slot(k)].to_bits(),
+                registers[program.root_register(k)].to_bits(),
                 root.eval(&[0.4, -0.2]).to_bits()
             );
         }
@@ -682,16 +636,10 @@ mod tests {
     fn negative_powi_exponents_round_trip() {
         let f = (x() + 2.0).powi(-2);
         let tape = Tape::compile(&f);
-        assert_eq!(tape.eval(&[1.0]).to_bits(), f.eval(&[1.0]).to_bits());
+        let program = ScalarProgram::lower(&tape);
+        assert_eq!(program.eval(&[1.0]).to_bits(), f.eval(&[1.0]).to_bits());
         let found = (0..tape.num_slots()).any(|i| matches!(tape.instr(i), TapeInstr::Powi(_, -2)));
         assert!(found, "negative exponent must survive encoding");
-    }
-
-    #[test]
-    #[should_panic(expected = "references variable")]
-    fn scalar_eval_with_missing_variable_panics() {
-        let tape = Tape::compile(&Expr::var(3));
-        let _ = tape.eval(&[1.0]);
     }
 
     #[test]

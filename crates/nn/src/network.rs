@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use nncps_expr::{Expr, Tape};
+use nncps_expr::Expr;
 use nncps_linalg::{Matrix, Vector};
 use rand::Rng;
 
@@ -140,40 +140,6 @@ impl FeedforwardNetwork {
             exprs = layer.forward_symbolic(&exprs);
         }
         exprs
-    }
-
-    /// Compiles the symbolic network outputs into one flat evaluation
-    /// [`Tape`].
-    ///
-    /// The symbolic export shares each neuron's pre-activation between every
-    /// output (and, after differentiation, between the network and its
-    /// gradient), so the tape's common-subexpression elimination evaluates
-    /// each pre-activation exactly once — this is what keeps the δ-SAT
-    /// queries over wide controllers tractable.  Evaluation of the tape is
-    /// bit-identical to evaluating the exported expressions.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nncps_expr::Expr;
-    /// use nncps_nn::FeedforwardNetwork;
-    ///
-    /// let network = FeedforwardNetwork::paper_architecture(8);
-    /// let tape = network.compile_symbolic(&[Expr::var(0), Expr::var(1)]);
-    /// assert_eq!(tape.num_roots(), 1);
-    /// assert_eq!(
-    ///     tape.eval(&[0.3, -0.1]).to_bits(),
-    ///     network.forward_symbolic(&[Expr::var(0), Expr::var(1)])[0]
-    ///         .eval(&[0.3, -0.1])
-    ///         .to_bits(),
-    /// );
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != self.input_dim()`.
-    pub fn compile_symbolic(&self, inputs: &[Expr]) -> Tape {
-        Tape::compile_many(&self.forward_symbolic(inputs))
     }
 
     /// Flattens all parameters into a single vector (layer by layer, weights
@@ -419,13 +385,6 @@ mod tests {
             tape.num_slots(),
             unrolled
         );
-
-        // And the single-output compilation helper agrees bit-for-bit with
-        // the tree at probe points.
-        let compiled = n.compile_symbolic(&inputs);
-        for input in [[0.0, 0.0], [0.7, -0.9], [-1.2, 0.3]] {
-            assert_eq!(compiled.eval(&input).to_bits(), u.eval(&input).to_bits());
-        }
     }
 
     #[test]

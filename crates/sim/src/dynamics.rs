@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use nncps_expr::{Expr, Tape};
+use nncps_expr::{Expr, ScalarProgram};
 
 /// An autonomous continuous-time system `ẋ = f(x)`.
 ///
@@ -12,9 +12,9 @@ use nncps_expr::{Expr, Tape};
 /// not carry an explicit time argument.
 ///
 /// Symbolic fields ([`ExprDynamics`], and the verifier's closed loop built on
-/// it) are compiled once, on their first evaluation, into a tape that is
-/// bit-identical to walking the expression trees; through
-/// [`Dynamics::derivative_into`] and a reused
+/// it) are compiled once, on their first evaluation, into a
+/// [`ScalarProgram`] that is bit-identical to walking the expression trees;
+/// through [`Dynamics::derivative_into`] and a reused
 /// [`StepWorkspace`](crate::StepWorkspace) an integration step over such a
 /// field performs no heap allocation.
 pub trait Dynamics {
@@ -28,7 +28,8 @@ pub trait Dynamics {
     fn derivative(&self, state: &[f64]) -> Vec<f64>;
 
     /// Evaluates the vector field at `state` into `out` (`out.len() ==
-    /// self.dim()`), using `slots` as caller-owned evaluation scratch.
+    /// self.dim()`), using `slots` as caller-owned evaluation scratch (for a
+    /// compiled field, the program's register file).
     ///
     /// This is the form the integrators call: with the scratch reused across
     /// steps, a compiled field ([`ExprDynamics`]) evaluates without heap
@@ -92,12 +93,14 @@ impl<F> std::fmt::Debug for FnDynamics<F> {
 /// the *same* mathematical object — the consistency requirement the paper
 /// discusses at the end of Section 3.
 ///
-/// The field is evaluated through one multi-root [`Tape`] shared by all
-/// components, compiled once on the first evaluation (never in the
+/// The field is evaluated through one multi-root [`ScalarProgram`] shared by
+/// all components, compiled once on the first evaluation (never in the
 /// constructor, so a field that is never simulated costs no compile).  The
-/// tape is bit-identical to walking the expression trees with
-/// [`Expr::eval`], and [`Dynamics::derivative_into`] with a warm scratch
-/// performs no heap allocation.
+/// program hoists the field's constants into registers and runs each neuron
+/// pre-activation as one fused linear instruction; it is bit-identical to
+/// walking the expression trees with [`Expr::eval`], and
+/// [`Dynamics::derivative_into`] with a warm scratch performs no heap
+/// allocation.
 ///
 /// # Examples
 ///
@@ -113,10 +116,10 @@ impl<F> std::fmt::Debug for FnDynamics<F> {
 #[derive(Clone)]
 pub struct ExprDynamics {
     components: Vec<Expr>,
-    /// The components compiled into one tape (root `k` is component `k`),
-    /// filled on the first evaluation.  Clones share the cell, so a cloned
-    /// field compiles at most once between all of its copies.
-    tape: Arc<OnceLock<Tape>>,
+    /// The components compiled into one program (root `k` is component
+    /// `k`), filled on the first evaluation.  Clones share the cell, so a
+    /// cloned field compiles at most once between all of its copies.
+    program: Arc<OnceLock<ScalarProgram>>,
 }
 
 impl ExprDynamics {
@@ -137,7 +140,7 @@ impl ExprDynamics {
         }
         ExprDynamics {
             components,
-            tape: Arc::new(OnceLock::new()),
+            program: Arc::new(OnceLock::new()),
         }
     }
 
@@ -147,9 +150,9 @@ impl ExprDynamics {
     }
 
     /// The compiled field, compiling it on first use.
-    fn tape(&self) -> &Tape {
-        self.tape
-            .get_or_init(|| Tape::compile_many(&self.components))
+    fn program(&self) -> &ScalarProgram {
+        self.program
+            .get_or_init(|| ScalarProgram::compile_many(&self.components))
     }
 }
 
@@ -173,10 +176,10 @@ impl Dynamics for ExprDynamics {
     }
 
     fn derivative_into(&self, state: &[f64], out: &mut [f64], slots: &mut Vec<f64>) {
-        let tape = self.tape();
-        tape.eval_scalar_into(state, slots);
+        let program = self.program();
+        program.eval_into(state, slots);
         for (k, value) in out.iter_mut().enumerate() {
-            *value = slots[tape.root_slot(k)];
+            *value = slots[program.root_register(k)];
         }
     }
 }

@@ -84,7 +84,8 @@ impl Integrator {
 }
 
 /// Reusable buffers for [`Integrator::step_in_place`]: the stage
-/// derivatives `k1..k4`, the stage point, and the dynamics' evaluation slots.
+/// derivatives `k1..k4`, the stage point, and the dynamics' evaluation
+/// scratch (a compiled field's register file).
 ///
 /// A simulation owns one workspace per trace, so consecutive steps reuse the
 /// same memory and a step through a warm workspace allocates nothing.

@@ -16,10 +16,12 @@
 //! * the [`Trace`] type storing time-stamped states, and
 //! * a [`Simulator`] that wires it all together.
 //!
-//! A symbolic field is compiled once, on its first evaluation, into a flat
-//! [`Tape`](nncps_expr::Tape) whose results are bit-identical to walking the
-//! expression trees; the simulator keeps one [`StepWorkspace`] per trace, so
-//! an RK4 step through a compiled field performs no heap allocation.
+//! A symbolic field is compiled once, on its first evaluation, into a fused
+//! [`ScalarProgram`](nncps_expr::ScalarProgram) (constants in registers,
+//! each linear chain one instruction) whose results are bit-identical to
+//! walking the expression trees; the simulator keeps one [`StepWorkspace`]
+//! per trace, so an RK4 step through a compiled field performs no heap
+//! allocation, and each trace stores its samples in one flat buffer.
 //!
 //! With the `parallel` feature (on by default), batches of traces from
 //! different initial states — which are embarrassingly parallel — can be

@@ -75,8 +75,10 @@ impl Simulator {
     /// samples inside `D`.
     ///
     /// The trace owns one [`StepWorkspace`] for its whole run, so the
-    /// integration steps themselves allocate nothing after the first; only
-    /// the recorded samples are allocated.
+    /// integration steps themselves allocate nothing after the first, and
+    /// the trace reserves its flat sample buffer for the full horizon up
+    /// front: a whole simulation makes a handful of allocations, however
+    /// many steps it records.
     ///
     /// # Panics
     ///
@@ -91,11 +93,11 @@ impl Simulator {
             dynamics.dim(),
             "initial state dimension must match the dynamics"
         );
-        let mut trace = Trace::new(dynamics.dim());
+        let mut trace = Trace::with_capacity(dynamics.dim(), self.num_steps() + 1);
         let mut workspace = StepWorkspace::default();
         let mut state = initial_state.to_vec();
         let mut time = 0.0;
-        trace.push(time, state.clone());
+        trace.push(time, &state);
         if stop(time, &state) {
             return trace;
         }
@@ -110,7 +112,7 @@ impl Simulator {
                 *first = nncps_fault::corrupt_f64(nncps_fault::SITE_SIM_STEP, *first);
             }
             time += self.dt;
-            trace.push(time, state.clone());
+            trace.push(time, &state);
             if stop(time, &state) {
                 break;
             }

@@ -12,14 +12,18 @@ pub type Sample<'a> = (f64, &'a [f64]);
 /// sampled states of one or more traces (Φs in the paper), and counterexample
 /// traces (Φf) are appended after each SMT refutation.
 ///
+/// The states are stored row-major in one flat buffer (sample `k` occupies
+/// `dim` consecutive values), so recording a sample copies a slice and
+/// allocates only when the buffer grows.
+///
 /// # Examples
 ///
 /// ```
 /// use nncps_sim::Trace;
 ///
 /// let mut trace = Trace::new(2);
-/// trace.push(0.0, vec![1.0, 0.0]);
-/// trace.push(0.1, vec![0.9, -0.1]);
+/// trace.push(0.0, &[1.0, 0.0]);
+/// trace.push(0.1, &[0.9, -0.1]);
 /// assert_eq!(trace.len(), 2);
 /// assert_eq!(trace.final_state(), &[0.9, -0.1]);
 /// assert_eq!(trace.consecutive_pairs().count(), 1);
@@ -28,16 +32,23 @@ pub type Sample<'a> = (f64, &'a [f64]);
 pub struct Trace {
     dim: usize,
     times: Vec<f64>,
-    states: Vec<Vec<f64>>,
+    /// Sample `k`'s state is `states[k * dim..(k + 1) * dim]`.
+    states: Vec<f64>,
 }
 
 impl Trace {
     /// Creates an empty trace for states of the given dimension.
     pub fn new(dim: usize) -> Self {
+        Trace::with_capacity(dim, 0)
+    }
+
+    /// Creates an empty trace with room for `samples` samples before it
+    /// reallocates.
+    pub fn with_capacity(dim: usize, samples: usize) -> Self {
         Trace {
             dim,
-            times: Vec::new(),
-            states: Vec::new(),
+            times: Vec::with_capacity(samples),
+            states: Vec::with_capacity(samples * dim),
         }
     }
 
@@ -49,8 +60,8 @@ impl Trace {
     /// the times are not non-decreasing.
     pub fn from_samples(dim: usize, times: Vec<f64>, states: Vec<Vec<f64>>) -> Self {
         assert_eq!(times.len(), states.len(), "times/states length mismatch");
-        let mut trace = Trace::new(dim);
-        for (t, s) in times.into_iter().zip(states) {
+        let mut trace = Trace::with_capacity(dim, times.len());
+        for (t, s) in times.into_iter().zip(&states) {
             trace.push(t, s);
         }
         trace
@@ -63,12 +74,12 @@ impl Trace {
 
     /// Number of samples in the trace.
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.times.len()
     }
 
     /// Returns `true` if the trace holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.times.is_empty()
     }
 
     /// Appends a sample.
@@ -77,13 +88,13 @@ impl Trace {
     ///
     /// Panics if the state has the wrong dimension or the time is smaller
     /// than the previous sample's time.
-    pub fn push(&mut self, time: f64, state: Vec<f64>) {
+    pub fn push(&mut self, time: f64, state: &[f64]) {
         assert_eq!(state.len(), self.dim, "state dimension mismatch");
         if let Some(&last) = self.times.last() {
             assert!(time >= last, "trace times must be non-decreasing");
         }
         self.times.push(time);
-        self.states.push(state);
+        self.states.extend_from_slice(state);
     }
 
     /// The sample times.
@@ -91,9 +102,9 @@ impl Trace {
         &self.times
     }
 
-    /// The sampled states.
-    pub fn states(&self) -> &[Vec<f64>] {
-        &self.states
+    /// Iterator over the sampled states, in sample order.
+    pub fn states(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        (0..self.len()).map(move |k| self.state(k))
     }
 
     /// The state at sample `index`.
@@ -102,7 +113,8 @@ impl Trace {
     ///
     /// Panics if `index >= self.len()`.
     pub fn state(&self, index: usize) -> &[f64] {
-        &self.states[index]
+        assert!(index < self.len(), "sample index out of range");
+        &self.states[index * self.dim..(index + 1) * self.dim]
     }
 
     /// The first state of the trace.
@@ -111,7 +123,8 @@ impl Trace {
     ///
     /// Panics if the trace is empty.
     pub fn initial_state(&self) -> &[f64] {
-        self.states.first().expect("trace is empty")
+        assert!(!self.is_empty(), "trace is empty");
+        self.state(0)
     }
 
     /// The last state of the trace.
@@ -120,7 +133,8 @@ impl Trace {
     ///
     /// Panics if the trace is empty.
     pub fn final_state(&self) -> &[f64] {
-        self.states.last().expect("trace is empty")
+        assert!(!self.is_empty(), "trace is empty");
+        self.state(self.len() - 1)
     }
 
     /// Total simulated duration (last time minus first time), `0` when fewer
@@ -137,18 +151,15 @@ impl Trace {
     pub fn consecutive_pairs(&self) -> impl Iterator<Item = (Sample<'_>, Sample<'_>)> + '_ {
         (0..self.len().saturating_sub(1)).map(move |k| {
             (
-                (self.times[k], self.states[k].as_slice()),
-                (self.times[k + 1], self.states[k + 1].as_slice()),
+                (self.times[k], self.state(k)),
+                (self.times[k + 1], self.state(k + 1)),
             )
         })
     }
 
     /// Iterator over `(time, state)` samples.
     pub fn iter(&self) -> impl Iterator<Item = (f64, &[f64])> + '_ {
-        self.times
-            .iter()
-            .copied()
-            .zip(self.states.iter().map(Vec::as_slice))
+        self.times.iter().copied().zip(self.states())
     }
 
     /// Maximum absolute value attained by state component `component` over
@@ -159,8 +170,7 @@ impl Trace {
     /// Panics if `component >= self.dim()`.
     pub fn max_abs_component(&self, component: usize) -> Option<f64> {
         assert!(component < self.dim, "component index out of range");
-        self.states
-            .iter()
+        self.states()
             .map(|s| s[component].abs())
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
@@ -180,11 +190,11 @@ impl Trace {
         if self.len() <= max_samples {
             return self.clone();
         }
-        let mut out = Trace::new(self.dim);
+        let mut out = Trace::with_capacity(self.dim, max_samples);
         let last = self.len() - 1;
         for k in 0..max_samples {
             let index = (k as f64 / (max_samples - 1) as f64 * last as f64).round() as usize;
-            out.push(self.times[index], self.states[index].clone());
+            out.push(self.times[index], self.state(index));
         }
         out
     }
@@ -244,6 +254,7 @@ mod tests {
         assert!((t.duration() - 0.2).abs() < 1e-15);
         assert_eq!(t.times().len(), 3);
         assert_eq!(t.states().len(), 3);
+        assert_eq!(t.states().nth(2), Some(&[0.7, -0.3][..]));
         assert_eq!(Trace::new(3).duration(), 0.0);
     }
 
@@ -284,7 +295,7 @@ mod tests {
     fn downsampling_keeps_endpoints_and_bounds_length() {
         let mut t = Trace::new(1);
         for k in 0..101 {
-            t.push(k as f64 * 0.1, vec![k as f64]);
+            t.push(k as f64 * 0.1, &[k as f64]);
         }
         let d = t.downsampled(11);
         assert_eq!(d.len(), 11);
@@ -307,15 +318,15 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn wrong_state_dimension_panics() {
         let mut t = Trace::new(2);
-        t.push(0.0, vec![1.0]);
+        t.push(0.0, &[1.0]);
     }
 
     #[test]
     #[should_panic(expected = "non-decreasing")]
     fn decreasing_times_panic() {
         let mut t = Trace::new(1);
-        t.push(1.0, vec![0.0]);
-        t.push(0.5, vec![0.0]);
+        t.push(1.0, &[0.0]);
+        t.push(0.5, &[0.0]);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! allocation-free.
 //!
 //! A counting global allocator wraps the system allocator.  After one
-//! warm-up step (which compiles the field's tape and sizes the workspace's
-//! stage and slot buffers), every further RK4, midpoint and Euler step over
-//! a compiled symbolic field must execute without a single heap allocation,
-//! and a whole simulated trace may allocate only the samples it records.
+//! warm-up step (which compiles the field's program and sizes the
+//! workspace's stage and register buffers), every further RK4, midpoint and
+//! Euler step over a compiled symbolic field must execute without a single
+//! heap allocation, and a whole simulated trace may allocate only a fixed
+//! handful of buffers, however many samples it records.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -118,10 +119,11 @@ fn simulated_trace_allocates_only_its_samples() {
     let steps = simulator.num_steps();
     // Compile the field outside the measured window.
     let _ = simulator.simulate(&dynamics, &[0.4, -0.1]);
-    // One state vector per recorded sample, plus the trace's own amortized
-    // growth and the per-trace workspace: far below the four stage vectors
-    // and four slot buffers per step an allocating RK4 step would cost.
-    let limit = (steps + 1) + 64;
+    // The trace's two flat buffers (times and states, reserved for the whole
+    // horizon), the running state, and the per-trace workspace's five stage
+    // buffers and register file: 9 allocations for 501 samples.  A vector
+    // per recorded sample, or per step, would exceed this many times over.
+    let limit = 16;
     assert_allocations_within(
         || {
             let before = allocations();

@@ -17,7 +17,7 @@
 //! plus a property test over random symbolic fields.
 
 use nncps::barrier::{Budget, ClosedLoopSystem};
-use nncps::expr::Expr;
+use nncps::expr::{Expr, ScalarProgram, Tape};
 use nncps::scenarios::Registry;
 use nncps::sim::{Dynamics, ExprDynamics, FnDynamics, Integrator, Simulator, StepWorkspace, Trace};
 use nncps_bench::paper_system;
@@ -57,14 +57,14 @@ fn reference_trace<D: Dynamics>(
     let mut trace = Trace::new(dynamics.dim());
     let mut state = x0.to_vec();
     let mut time = 0.0;
-    trace.push(time, state.clone());
+    trace.push(time, &state);
     if stop(&state) {
         return trace;
     }
     for _ in 0..simulator.num_steps() {
         state = reference_rk4_step(dynamics, &state, simulator.dt());
         time += simulator.dt();
-        trace.push(time, state.clone());
+        trace.push(time, &state);
         if stop(&state) {
             break;
         }
@@ -255,5 +255,34 @@ proptest! {
         Integrator::RungeKutta4.step_in_place(&dynamics, &mut state, 0.01, &mut workspace);
         let reference = reference_rk4_step(&tree_reference(&field), &[px, py], 0.01);
         prop_assert_eq!(state.map(f64::to_bits).to_vec(), reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    }
+}
+
+/// The simulated fields compile to a pinned number of program instructions
+/// (tape slots for comparison).  A change to either count means the fusion
+/// or the tape's CSE/folding changed shape — for instance fusion silently
+/// switching off, which keeps every result bit and only costs time — and
+/// must be re-pinned on purpose.
+#[test]
+fn simulated_fields_compile_to_a_pinned_number_of_instructions() {
+    let dubins = Registry::builtin()
+        .get("dubins-paper")
+        .expect("the registry ships dubins-paper")
+        .build_system();
+    for (name, system, slots, ops) in [
+        ("paper_system(1000)", paper_system(1000), 9_007, 2_006),
+        ("dubins-paper", dubins, 97, 26),
+    ] {
+        let field = system.vector_field();
+        assert_eq!(
+            Tape::compile_many(field).num_slots(),
+            slots,
+            "{name} tape slots"
+        );
+        assert_eq!(
+            ScalarProgram::compile_many(field).num_ops(),
+            ops,
+            "{name} program ops"
+        );
     }
 }
