@@ -17,7 +17,7 @@ use crate::SafetySpec;
 ///
 /// Point evaluation (simulation and [`ClosedLoopSystem::derivative`]) goes
 /// through the field's [`ExprDynamics`], which compiles it once on first use
-/// into a tape bit-identical to the expression trees.
+/// into a fused scalar program bit-identical to the expression trees.
 ///
 /// # Examples
 ///
@@ -109,7 +109,7 @@ impl ClosedLoopSystem {
     }
 
     /// The vector field as simulatable dynamics, sharing this system's
-    /// compiled tape.
+    /// compiled program.
     pub fn dynamics(&self) -> ExprDynamics {
         self.field.clone()
     }

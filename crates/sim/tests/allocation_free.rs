@@ -94,7 +94,7 @@ fn warm_fixed_step_schemes_do_not_allocate() {
     ] {
         let mut workspace = StepWorkspace::default();
         let mut state = [0.4, -0.1];
-        // Warm-up: compiles the tape and sizes every workspace buffer.
+        // Warm-up: compiles the program and sizes every workspace buffer.
         integrator.step_in_place(&dynamics, &mut state, 0.01, &mut workspace);
         assert_allocations_within(
             || {

@@ -5,7 +5,7 @@
 //! with [`Expr::eval`] on each evaluation, integrated by an RK4 step
 //! written out with a fresh vector per stage.  The system under test is the
 //! [`ClosedLoopSystem`] itself, which evaluates `f` through one lazily
-//! compiled tape and steps in place through the simulator's per-trace
+//! compiled scalar program and steps in place through the simulator's per-trace
 //! workspace — the path the verification pipeline takes.  Every time stamp
 //! and every state component must agree bit for bit, across
 //!
