@@ -362,7 +362,10 @@ impl ScalarProgram {
                 }
                 Op::LinFromProduct { start, end } => {
                     let start = start as usize;
-                    let first = self.coefficients[start] * registers[self.sources[start] as usize];
+                    let first = BinaryOp::Mul.apply(
+                        self.coefficients[start],
+                        registers[self.sources[start] as usize],
+                    );
                     self.accumulate(first, start as u32 + 1, end, registers)
                 }
             };
@@ -371,6 +374,12 @@ impl ScalarProgram {
     }
 
     /// `acc = acc + cₖ * sₖ` over the terms `start..end`, left to right.
+    ///
+    /// Each step goes through the operator functions [`Expr::eval`] applies
+    /// rather than inline `+`/`*`: when both operands of an add are NaN,
+    /// which one's sign and payload the result carries is up to code
+    /// generation, and writing the arithmetic differently can change that
+    /// choice (it did in unoptimized builds).
     #[inline]
     fn accumulate(&self, mut acc: f64, start: u32, end: u32, registers: &[f64]) -> f64 {
         let terms = start as usize..end as usize;
@@ -378,7 +387,7 @@ impl ScalarProgram {
             .iter()
             .zip(&self.sources[terms])
         {
-            acc += c * registers[s as usize];
+            acc = BinaryOp::Add.apply(acc, BinaryOp::Mul.apply(c, registers[s as usize]));
         }
         acc
     }
