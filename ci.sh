@@ -42,8 +42,9 @@ cargo clippy --all-targets -- -D warnings
 # here, so a library API change that breaks the benchmark fails CI instead
 # of the benchmark run.  The package is frozen: its uses of the deprecated
 # no-ops (`with_threads`, `with_batched_evaluation`, `smt_threads`,
-# `smt_batched_evaluation`, `CompiledFormula::ensure_gradients`) print
-# deprecation warnings here.
+# `smt_batched_evaluation`, `CompiledFormula::ensure_gradients`,
+# `CompilationCache`, `CompilationCache::compile`, `WarmStart::compilation`)
+# print deprecation warnings here.
 echo "==> e2e_bench: build + unit tests against the current library"
 if [ "$quick" != "quick" ]; then
     cargo test -q --release --manifest-path e2e_bench/Cargo.toml
@@ -83,10 +84,19 @@ if [ "$quick" != "quick" ]; then
     cmp "$sweep_a" "$sweep_b" \
         || { echo "family sweep is not deterministic across runs/threads/warm-start"; exit 1; }
     echo "    family sweep byte-identical across warm/cold and 1/2 threads"
-    # Every builtin family (254 members), cold: the run gates on each
-    # family's pinned verdict counts from `builtin_families()`.
-    echo "==> family-sweep: nncps-batch --family all --cold (pinned counts of every family)"
-    cargo run --release --bin nncps-batch -- --family all --quiet --threads 1 --cold
+    # Every builtin family (254 members), cold and warm: each run gates on
+    # every family's pinned verdict counts from `builtin_families()`, and
+    # the two deterministic reports must be byte-identical.
+    echo "==> family-sweep: nncps-batch --family all, cold vs warm (pinned counts + bit identity)"
+    all_cold="$PWD/target/family_all_cold.json"
+    all_warm="$PWD/target/family_all_warm.json"
+    cargo run --release --bin nncps-batch -- \
+        --family all --quiet --threads 1 --cold --out-deterministic "$all_cold"
+    cargo run --release --bin nncps-batch -- \
+        --family all --quiet --threads 1 --out-deterministic "$all_warm"
+    cmp "$all_cold" "$all_warm" \
+        || { echo "warm --family all drifts from the cold deterministic report"; exit 1; }
+    echo "    all 254 members byte-identical warm vs cold"
 else
     echo "==> family-sweep: (skipped in quick mode)"
 fi

@@ -203,7 +203,7 @@ fn family_sweep_bench(c: &mut Criterion) {
 
     // The CI family: 24 generated members over contraction rate × X0 ×
     // solver precision.  `warm_24` shares one fresh SweepCache across the
-    // whole sweep (compiled queries, seed traces, LP candidates, built
+    // whole sweep (seed traces, LP candidates, whole outcomes, built
     // dynamics); `cold_24` runs every member independently — the
     // per-scenario path a sweep engine without warm start would take.
     // Reports are byte-identical either way (asserted by

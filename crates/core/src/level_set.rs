@@ -116,27 +116,6 @@ impl LevelSetSelector {
         queries: &QueryBuilder<'_>,
         solver: &DeltaSolver,
     ) -> (LevelSetResult, SolverStats) {
-        self.select_with_cache(generator, spec, queries, solver, None)
-    }
-
-    /// Like [`LevelSetSelector::select_with_stats`], but compiles the
-    /// confirmation queries through a
-    /// [`CompilationCache`](nncps_deltasat::CompilationCache) when one is given
-    /// — a family sweep re-confirms structurally identical levels across
-    /// members, and the cached artifacts solve bit-identically to fresh
-    /// compilations.
-    pub fn select_with_cache(
-        &self,
-        generator: &GeneratorFunction,
-        spec: &SafetySpec,
-        queries: &QueryBuilder<'_>,
-        solver: &DeltaSolver,
-        cache: Option<&nncps_deltasat::CompilationCache>,
-    ) -> (LevelSetResult, SolverStats) {
-        let compile = |formula: &nncps_deltasat::Formula| match cache {
-            Some(cache) => cache.compile(formula),
-            None => std::sync::Arc::new(CompiledFormula::compile(formula)),
-        };
         let mut stats = SolverStats::default();
         let Some((mut low, mut high)) = self.bracket(generator, spec) else {
             return (
@@ -167,7 +146,7 @@ impl LevelSetSelector {
             // Both confirmation queries are compiled to evaluation tapes
             // before solving, like every other query the pipeline issues.
             let (q6, x0_domain) = queries.initial_containment_query(generator, level);
-            let q6 = compile(&q6);
+            let q6 = CompiledFormula::compile(&q6);
             let (q6_result, q6_stats) = solver.solve_compiled_with_stats(&q6, &x0_domain);
             stats.merge(&q6_stats);
             if let Some(reason) = governed_exhaustion(&q6_result) {
@@ -195,7 +174,7 @@ impl LevelSetSelector {
                     stats,
                 );
             };
-            let q7 = compile(&q7);
+            let q7 = CompiledFormula::compile(&q7);
             let (q7_result, q7_stats) = solver.solve_compiled_with_stats(&q7, &unsafe_domain);
             stats.merge(&q7_stats);
             if let Some(reason) = governed_exhaustion(&q7_result) {

@@ -35,8 +35,8 @@
 //! [`VerificationSession::verify`] takes a [`VerificationRequest`]
 //! (system + config + budget) and returns a
 //! [`VerificationOutcome`]; the session owns every cache that outlives a
-//! single request (warm-start memo layers, a whole-outcome memo, and an
-//! optional on-disk [`DiskStore`]).
+//! single request (the trace and candidate memos, a whole-outcome memo, and
+//! an optional on-disk [`DiskStore`] of outcomes).
 //!
 //! # Examples
 //!

@@ -422,9 +422,9 @@ impl Verifier {
     /// the memo-safety rules.  The behavioural contracts the session relies
     /// on:
     ///
-    /// * **Warm ≡ cold, bit for bit.**  With a warm-start handle, compiled
-    ///   δ-SAT queries, seed-trace bundles, and LP candidates are looked up
-    ///   under structural identity keys before being recomputed; every
+    /// * **Warm ≡ cold, bit for bit.**  With a warm-start handle,
+    ///   seed-trace bundles and LP candidates are looked up under
+    ///   structural identity keys before being recomputed; every
     ///   reused artifact is bit-identical to recomputation (see the
     ///   [`warmstart`](crate::warmstart) module docs), so verdicts,
     ///   certificate bits, witnesses, and solver statistics are identical
@@ -605,19 +605,8 @@ impl Verifier {
 
             // Compile the query to evaluation tapes *before* the timed SMT
             // section: the solver's branch-and-prune loop then runs on the
-            // pre-lowered clauses without per-solve setup.  Under warm
-            // start, structurally identical decrease queries (same candidate
-            // bits over the same closed loop) reuse one compilation.
-            let (compiled_query, query_domain) = match warm {
-                Some(warm) => {
-                    let (formula, domain) = queries.decrease_query(&candidate);
-                    (warm.compilation().compile(&formula), domain)
-                }
-                None => {
-                    let (compiled, domain) = queries.compiled_decrease_query(&candidate);
-                    (Arc::new(compiled), domain)
-                }
-            };
+            // pre-lowered clauses without per-solve setup.
+            let (compiled_query, query_domain) = queries.compiled_decrease_query(&candidate);
             let smt_start = Instant::now();
             let (result, solve_stats) =
                 solver.solve_compiled_with_stats(&compiled_query, &query_domain);
@@ -685,13 +674,8 @@ impl Verifier {
         // --- Level-set selection: queries (6) and (7) ------------------------
         let level_start = Instant::now();
         let selector = LevelSetSelector::new(cfg.max_level_iterations);
-        let (level_result, level_stats) = selector.select_with_cache(
-            &generator,
-            &spec,
-            &queries,
-            &solver,
-            warm.map(WarmStart::compilation),
-        );
+        let (level_result, level_stats) =
+            selector.select_with_stats(&generator, &spec, &queries, &solver);
         stats.solver.merge(&level_stats);
         stats.timings.level_set = level_start.elapsed();
 

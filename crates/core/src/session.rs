@@ -9,11 +9,11 @@
 //!   *how* (a [`VerificationConfig`], a resource [`Budget`], and whether
 //!   session caches may be consulted).
 //! * [`VerificationSession`] — owns the caches that outlive a single
-//!   request: the [`WarmStart`] memo layers (compiled δ-SAT queries,
-//!   seed-trace bundles, LP candidates), a whole-outcome memo, and an
-//!   optional on-disk [`DiskStore`] that extends all of it across
-//!   *processes*.  [`VerificationSession::verify`] is the **only** public
-//!   verify entry point.
+//!   request: the [`WarmStart`] memo layers (seed-trace bundles, LP
+//!   candidates), a whole-outcome memo, and an optional on-disk
+//!   [`DiskStore`] that extends the outcome memo across *processes*.
+//!   [`VerificationSession::verify`] is the **only** public verify entry
+//!   point.
 //!
 //! # Key discipline
 //!
@@ -246,7 +246,7 @@ pub struct SessionStats {
 /// workers.
 #[derive(Debug)]
 pub struct VerificationSession {
-    warm: Arc<WarmStart>,
+    warm: WarmStart,
     outcomes: Mutex<HashMap<Fingerprint, Arc<VerificationOutcome>>>,
     store: Option<Arc<DiskStore>>,
     outcome_hits: AtomicUsize,
@@ -264,7 +264,7 @@ impl VerificationSession {
     /// A session with in-memory caches only.
     pub fn new() -> Self {
         VerificationSession {
-            warm: Arc::new(WarmStart::new()),
+            warm: WarmStart::new(),
             outcomes: Mutex::new(HashMap::new()),
             store: None,
             outcome_hits: AtomicUsize::new(0),
@@ -273,17 +273,15 @@ impl VerificationSession {
         }
     }
 
-    /// A session whose caches are additionally backed by an on-disk
-    /// content-addressed store: outcomes, seed-trace bundles, and LP
-    /// candidates persist across processes.
+    /// A session whose outcome memo is additionally backed by an on-disk
+    /// content-addressed store (the `outcome` kind), so whole outcomes
+    /// persist across processes.  The trace and candidate memos stay in
+    /// memory; `traces/` and `candidates/` directories left in a store by
+    /// earlier versions are ignored.
     pub fn with_store(store: Arc<DiskStore>) -> Self {
         VerificationSession {
-            warm: Arc::new(WarmStart::with_store(Arc::clone(&store))),
-            outcomes: Mutex::new(HashMap::new()),
             store: Some(store),
-            outcome_hits: AtomicUsize::new(0),
-            outcome_misses: AtomicUsize::new(0),
-            disk_outcome_hits: AtomicUsize::new(0),
+            ..VerificationSession::new()
         }
     }
 
@@ -428,7 +426,7 @@ pub(crate) fn decode_outcome(bytes: &[u8]) -> Option<VerificationOutcome> {
     r.is_exhausted().then_some(outcome)
 }
 
-pub(crate) fn encode_generator(w: &mut PayloadWriter, generator: &GeneratorFunction) {
+fn encode_generator(w: &mut PayloadWriter, generator: &GeneratorFunction) {
     let n = generator.dim();
     w.put_usize(n);
     for i in 0..n {
@@ -442,7 +440,7 @@ pub(crate) fn encode_generator(w: &mut PayloadWriter, generator: &GeneratorFunct
     w.put_f64(generator.constant_part());
 }
 
-pub(crate) fn decode_generator(r: &mut PayloadReader<'_>) -> Option<GeneratorFunction> {
+fn decode_generator(r: &mut PayloadReader<'_>) -> Option<GeneratorFunction> {
     let n = r.take_usize()?;
     if n == 0 || n.checked_mul(n)?.checked_mul(8)? > r.remaining() {
         return None;

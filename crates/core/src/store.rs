@@ -1,11 +1,13 @@
 //! A content-addressed on-disk artifact store keyed by structural
 //! [`Fingerprint`]s.
 //!
-//! The warm-start layers memoize pure functions of 128-bit structural
-//! identity keys; this store extends those memos across *processes*: a
-//! resident verification service (or a sequence of CLI runs pointed at the
-//! same `--store` directory) re-reads yesterday's seed-trace bundles, LP
-//! candidates, and whole verification outcomes instead of recomputing them.
+//! The session's outcome memo holds pure functions of 128-bit structural
+//! identity keys; this store extends it across *processes*: a resident
+//! verification service (or a sequence of CLI runs pointed at the same
+//! `--store` directory) re-reads whole verification outcomes instead of
+//! recomputing them.  The one kind written is `outcome`.  Stores written by
+//! earlier versions may also hold `traces/` and `candidates/` directories;
+//! nothing reads them any more.
 //!
 //! The layout is deliberately boring:
 //!

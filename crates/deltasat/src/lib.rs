@@ -76,6 +76,7 @@ mod contractor;
 mod formula;
 mod solver;
 
+#[allow(deprecated)]
 pub use cache::CompilationCache;
 pub use compiled::{ClauseFeasibility, ClauseScratch, CompiledClause, CompiledFormula};
 pub use constraint::{Constraint, Feasibility, Relation};

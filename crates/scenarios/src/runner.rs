@@ -42,8 +42,8 @@ pub struct SweepOptions {
     /// Scenario-level worker threads (same semantics as
     /// [`BatchOptions::threads`]).
     pub threads: usize,
-    /// Whether family members share a [`SweepCache`] (compiled queries,
-    /// simulation bundles, LP candidates, built dynamics).  Reused
+    /// Whether family members share a [`SweepCache`] (simulation bundles,
+    /// LP candidates, whole outcomes, built dynamics).  Reused
     /// artifacts are bit-identical to recomputation, so this switch changes
     /// wall-clock time only — the deterministic report is byte-identical
     /// either way (asserted by `tests/family_warm_start.rs`).
@@ -84,8 +84,8 @@ pub(crate) fn member_budget(fuel: Option<u64>, deadline_ms: Option<u64>) -> Budg
 }
 
 /// Shared memoization state of one family sweep: a
-/// [`VerificationSession`] (compiled δ-SAT queries, simulation bundles, LP
-/// candidates, whole-outcome memo, optionally disk-backed) plus the built
+/// [`VerificationSession`] (simulation bundles, LP candidates, and a
+/// whole-outcome memo that may be disk-backed) plus the built
 /// symbolic dynamics per distinct [`PlantSpec`] (family members sharing a
 /// plant expand the neural controller into its symbolic closed loop once).
 ///

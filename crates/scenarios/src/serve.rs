@@ -234,6 +234,8 @@ impl ServeEngine {
                 "candidate_hits".to_string(),
                 Json::from(session.warm.candidate_hits),
             ),
+            // The last three keys name deleted layers and always report 0;
+            // they stay so that readers of the event keep their keys.
             (
                 "formula_hits".to_string(),
                 Json::from(session.warm.formula_hits),

@@ -10,9 +10,8 @@
 //! * implementations for plain closures ([`FnDynamics`]) and for symbolic
 //!   expressions ([`ExprDynamics`]) so the *same* expression tree used in the
 //!   SMT queries can also drive the simulator,
-//! * fixed-step explicit integrators (Euler, midpoint, classic RK4) and an
-//!   adaptive Runge–Kutta–Fehlberg 4(5) integrator ([`Integrator`]), which
-//!   step in place through a reusable [`StepWorkspace`],
+//! * the classic fourth-order Runge–Kutta integrator ([`Integrator`]), which
+//!   steps in place through a reusable [`StepWorkspace`],
 //! * the [`Trace`] type storing time-stamped states, and
 //! * a [`Simulator`] that wires it all together.
 //!

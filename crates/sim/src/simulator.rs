@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn early_stopping_truncates_trace() {
-        let sim = Simulator::new(Integrator::Euler, 0.1, 10.0);
+        let sim = Simulator::new(Integrator::RungeKutta4, 0.1, 10.0);
         let trace = sim.simulate_until(&decay(), &[1.0], |_, s| s[0] < 0.5);
         assert!(trace.len() < sim.num_steps() + 1);
         assert!(trace.final_state()[0] < 0.5);
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn until_batch_applies_the_predicate_to_every_trace() {
-        let sim = Simulator::new(Integrator::Euler, 0.1, 10.0);
+        let sim = Simulator::new(Integrator::RungeKutta4, 0.1, 10.0);
         let starts = vec![vec![1.0], vec![2.0], vec![4.0]];
         let traces = sim.simulate_until_batch(&decay(), &starts, |_, s| s[0] < 0.5, 0);
         assert_eq!(traces.len(), 3);
@@ -294,13 +294,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "step size must be positive")]
     fn zero_dt_panics() {
-        let _ = Simulator::new(Integrator::Euler, 0.0, 1.0);
+        let _ = Simulator::new(Integrator::RungeKutta4, 0.0, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "duration must be positive")]
     fn zero_duration_panics() {
-        let _ = Simulator::new(Integrator::Euler, 0.1, 0.0);
+        let _ = Simulator::new(Integrator::RungeKutta4, 0.1, 0.0);
     }
 
     #[test]

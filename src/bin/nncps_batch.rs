@@ -10,8 +10,8 @@
 //! cargo run --release --bin nncps-batch -- --check SCENARIOS_expected.json
 //! cargo run --release --bin nncps-batch -- --write-expected SCENARIOS_expected.json
 //!
-//! # Scenario-family sweeps (warm-start compilation caching shared across
-//! # members; pass --cold to disable it):
+//! # Scenario-family sweeps (trace, candidate and outcome memos shared
+//! # across members; pass --cold to disable them):
 //! cargo run --release --bin nncps-batch -- --list-families
 //! cargo run --release --bin nncps-batch -- --family linear-ci-grid
 //! cargo run --release --bin nncps-batch -- --family all --out sweep.json

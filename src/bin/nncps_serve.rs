@@ -5,7 +5,7 @@
 //! protocol grammar in the `serve` module docs and ARCHITECTURE.md).  The
 //! engine owns everything interesting — the family catalogue, the shared
 //! verification session, the worker pool, and the optional on-disk
-//! warm-start store — so this binary is only sockets and lines.
+//! outcome store — so this binary is only sockets and lines.
 //!
 //! ```text
 //! cargo run --release --bin nncps-serve -- --store /var/cache/nncps

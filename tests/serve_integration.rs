@@ -124,6 +124,29 @@ fn daemon_reports_match_in_process_sweeps_and_warm_start_from_disk() {
     // Cold submission: every member runs the pipeline.
     let (cold_report, cold_secs) = submit(&daemon.addr, "linear-ci-grid");
 
+    // Members share seed traces and LP candidates through the in-memory
+    // memos.  The counters of the deleted layers keep their keys and read
+    // 0, and the store holds no trace or candidate entries.
+    let stats = request(&daemon.addr, "{\"op\": \"stats\"}", "stats");
+    let counter = |key: &str| {
+        stats
+            .get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("stats lacks {key}: {stats:?}"))
+    };
+    for key in ["formula_hits", "disk_trace_hits", "disk_candidate_hits"] {
+        assert_eq!(counter(key), 0.0, "{key} must read 0: {stats:?}");
+    }
+    for key in ["trace_hits", "candidate_hits"] {
+        assert!(counter(key) > 0.0, "{key} must be positive: {stats:?}");
+    }
+    for kind in ["traces", "candidates"] {
+        assert!(
+            !store.join(kind).exists(),
+            "the store must hold no {kind}/ directory"
+        );
+    }
+
     // The daemon's deterministic report is byte-identical to an in-process
     // cold sweep — serving adds a transport, never a semantic difference.
     let in_process = run_sweep(
