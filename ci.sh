@@ -229,6 +229,18 @@ if [ "$quick" != "quick" ]; then
         "substrate/sim/closed_loop_w100/tree" \
         "substrate/sim/closed_loop_w100/compiled" --min 3.0
 
+    # Interval evaluation: one forward sweep of the width-50 decrease
+    # expression through the tape's fused schedule (constants loaded once,
+    # neuron pre-activations as single chain steps) is held to >= 1.1x over
+    # the tree walk, measured within this run.
+    echo "==> bench-regression: fused interval sweep speedup"
+    CRITERION_JSON="$bench_json" \
+        cargo bench --bench substrate_micro -- "substrate/tape_vs_tree/eval_box/"
+    cargo run --release -p nncps_bench --bin bench-compare -- \
+        "$bench_json" --speedup \
+        "substrate/tape_vs_tree/eval_box/tree" \
+        "substrate/tape_vs_tree/eval_box/tape" --min 1.1
+
     # PR 7: resource governance.  The budget-poll overhead on the headline
     # decrease query is held to <=2% (best-case sample times, governed vs
     # ungoverned measured back-to-back in one process), and the governed

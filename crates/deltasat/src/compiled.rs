@@ -15,6 +15,15 @@
 //!   recorded values — O(n) per revise instead of the O(n²) of re-evaluating
 //!   subtrees at every node.
 //!
+//! The forward sweep runs the tape's fused schedule
+//! ([`Tape::eval_interval_steps`]): constant slots are written once, when
+//! the scratch is made, and each neuron pre-activation chain is one step
+//! that still records every product and partial sum, so the backward pass
+//! reads the same values a per-slot sweep would leave.  A revise grows the
+//! sweep only to its root's step boundary, which is precomputed per
+//! constraint; the instruction (fuel) counter charges the tape slots a
+//! growth covers, not the steps it runs.
+//!
 //! All scratch state lives in a caller-owned [`ClauseScratch`], so the
 //! steady-state per-box loop performs **zero heap allocations**.
 //!
@@ -35,11 +44,21 @@ use nncps_interval::{Interval, IntervalBox};
 use crate::contractor::{invert_binary, invert_powi, invert_unary, total_width};
 use crate::{Constraint, Feasibility, Formula};
 
+/// A prefix of a clause's forward sweep: the tape slots it covers and the
+/// schedule steps that compute them.
+#[derive(Debug, Default, Clone, Copy)]
+struct Prefix {
+    slots: usize,
+    steps: usize,
+}
+
 /// One constraint of a compiled clause: the tape slot of its expression plus
 /// the data needed for classification and contraction.
 #[derive(Debug, Clone)]
 struct CompiledAtom {
     root: usize,
+    /// The sweep prefix the root's revise reads: slots `0..=root`.
+    prefix: Prefix,
     admissible: Interval,
     source: Constraint,
 }
@@ -59,20 +78,22 @@ pub enum ClauseFeasibility {
 /// clause.
 ///
 /// Create one per worker with [`CompiledClause::scratch`] and pass it to
-/// every call; the buffers grow to a high-water mark on first use and are
-/// reused allocation-free afterwards.
+/// every call of *that* clause: the scratch holds the clause's constants,
+/// written once when it is made.  The backward stack grows to a high-water
+/// mark on first use and is reused allocation-free afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct ClauseScratch {
-    /// Forward interval value of every tape slot.
+    /// Forward interval value of every tape slot, full length; constant
+    /// slots are written once by [`CompiledClause::scratch`].
     slots: Vec<Interval>,
-    /// How many leading `slots` are valid for the *current* region bits —
-    /// the forward-sweep cache: revises and the final classification of one
-    /// propagation pass share a single incrementally grown sweep, reset
+    /// The prefix of the sweep that is valid for the *current* region bits
+    /// — the forward-sweep cache: revises and the final classification of
+    /// one propagation pass share a single incrementally grown sweep, reset
     /// whenever any variable domain changes.
-    valid: usize,
+    valid: Prefix,
     /// Backward work stack of `(slot, required)` pairs.
     stack: Vec<(usize, Interval)>,
-    /// Instrumentation: tape instructions executed through this scratch.
+    /// Instrumentation: tape slots covered by sweeps through this scratch.
     pub(crate) instructions_executed: usize,
 }
 
@@ -131,6 +152,8 @@ enum Revised {
 pub struct CompiledClause {
     tape: Tape,
     atoms: Vec<CompiledAtom>,
+    /// The whole sweep, which classification reads.
+    full: Prefix,
     /// Per-slot flag: the slot's dependency cone contains no `sqrt`/`ln`.
     /// Those are the only operators whose HC4 inversion can clip variable
     /// domains even when the requirement envelops the recorded value, so a
@@ -147,12 +170,23 @@ impl CompiledClause {
         let atoms = clause
             .iter()
             .enumerate()
-            .map(|(k, c)| CompiledAtom {
-                root: tape.root_slot(k),
-                admissible: c.admissible_interval(),
-                source: c.clone(),
+            .map(|(k, c)| {
+                let root = tape.root_slot(k);
+                CompiledAtom {
+                    root,
+                    prefix: Prefix {
+                        slots: root + 1,
+                        steps: tape.steps_through(root),
+                    },
+                    admissible: c.admissible_interval(),
+                    source: c.clone(),
+                }
             })
             .collect();
+        let full = Prefix {
+            slots: tape.num_slots(),
+            steps: tape.num_steps(),
+        };
         let mut clip_free = Vec::with_capacity(tape.num_slots());
         for i in 0..tape.num_slots() {
             let flag = instr_clip_free(tape.instr(i), &clip_free);
@@ -161,6 +195,7 @@ impl CompiledClause {
         CompiledClause {
             tape,
             atoms,
+            full,
             clip_free,
         }
     }
@@ -180,10 +215,13 @@ impl CompiledClause {
         &self.tape
     }
 
-    /// Creates a scratch buffer sized for this clause.
+    /// Creates a scratch buffer for this clause, with its constant slots
+    /// written.
     pub fn scratch(&self) -> ClauseScratch {
+        let mut slots = Vec::with_capacity(self.tape.num_slots());
+        self.tape.load_constants(&mut slots);
         ClauseScratch {
-            slots: Vec::with_capacity(self.tape.num_slots()),
+            slots,
             stack: Vec::with_capacity(16),
             ..ClauseScratch::default()
         }
@@ -202,7 +240,7 @@ impl CompiledClause {
     ) -> ClauseFeasibility {
         // Standalone entry point: the caller may have changed the region
         // since the last call, so the sweep cache starts cold.
-        scratch.valid = 0;
+        scratch.valid = Prefix::default();
         self.classify(region, scratch)
     }
 
@@ -210,7 +248,7 @@ impl CompiledClause {
     /// [`CompiledClause::propagate`]; reuses whatever prefix of the forward
     /// sweep is still valid for the current region bits.
     fn classify(&self, region: &IntervalBox, scratch: &mut ClauseScratch) -> ClauseFeasibility {
-        self.ensure_prefix(region, scratch, self.tape.num_slots());
+        self.ensure_prefix(region, scratch, self.full);
         let mut all_satisfied = true;
         for atom in &self.atoms {
             match atom.source.feasibility_of_value(scratch.slots[atom.root]) {
@@ -226,21 +264,29 @@ impl CompiledClause {
         }
     }
 
-    /// Grows the shared forward sweep to cover at least `count` slots of the
-    /// tape, evaluating only the missing suffix.  `scratch.valid` tracks how
+    /// Grows the shared forward sweep to cover at least `prefix`, running
+    /// only the schedule steps it is missing.  `scratch.valid` tracks how
     /// much of the sweep matches the current region bits; callers reset it
-    /// to `0` whenever the region may have changed.  Reused values are
+    /// whenever the region may have changed.  Reused values are
     /// bit-identical by construction — they were computed on identical
-    /// inputs.  Only the evaluated suffix is charged to
-    /// `instructions_executed` (the fuel counter), so fuel is exactly the
-    /// instructions executed per logical box.
-    fn ensure_prefix(&self, region: &IntervalBox, scratch: &mut ClauseScratch, count: usize) {
-        if count > scratch.valid {
-            scratch.slots.truncate(scratch.valid);
-            self.tape
-                .eval_interval_extend_into(region, &mut scratch.slots, count);
-            scratch.instructions_executed += count - scratch.valid;
-            scratch.valid = count;
+    /// inputs.  The step boundaries are precomputed per atom, so no search
+    /// runs here.
+    ///
+    /// `instructions_executed` (the fuel counter) is charged the tape
+    /// *slots* the growth covers, constants and fused chain slots included,
+    /// so fuel does not depend on how the schedule groups slots into steps.
+    /// A prefix that ends inside a chain's slot span leaves that chain's
+    /// interior slots stale: only the chain reads them, and it runs with a
+    /// later prefix.
+    fn ensure_prefix(&self, region: &IntervalBox, scratch: &mut ClauseScratch, prefix: Prefix) {
+        if prefix.slots > scratch.valid.slots {
+            self.tape.eval_interval_steps(
+                region,
+                &mut scratch.slots,
+                scratch.valid.steps..prefix.steps,
+            );
+            scratch.instructions_executed += prefix.slots - scratch.valid.slots;
+            scratch.valid = prefix;
         }
     }
 
@@ -256,7 +302,7 @@ impl CompiledClause {
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> bool {
-        scratch.valid = 0;
+        scratch.valid = Prefix::default();
         self.contract_inner(region, rounds, scratch)
     }
 
@@ -278,7 +324,7 @@ impl CompiledClause {
         rounds: usize,
         scratch: &mut ClauseScratch,
     ) -> ClauseFeasibility {
-        scratch.valid = 0;
+        scratch.valid = Prefix::default();
         if !self.contract_inner(region, rounds, scratch) || region.is_empty() {
             return ClauseFeasibility::Violated;
         }
@@ -297,10 +343,10 @@ impl CompiledClause {
                 // Roots are emitted in atom order, so the shared sweep only
                 // ever grows within a pass; after a fixpointed pass every
                 // revise runs on cached forward values.
-                self.ensure_prefix(region, scratch, atom.root + 1);
+                self.ensure_prefix(region, scratch, atom.prefix);
                 match self.revise_backward(atom.root, atom.admissible, region, scratch) {
                     Revised::Infeasible => return false,
-                    Revised::Narrowed => scratch.valid = 0,
+                    Revised::Narrowed => scratch.valid = Prefix::default(),
                     Revised::Unchanged => {}
                 }
             }
@@ -512,6 +558,62 @@ mod tests {
             let tree_ok = contract_clause(&clause_src, &mut tree_region, rounds);
             let tape_ok = compiled.contract(&mut tape_region, rounds, &mut scratch);
             assert_eq!(tree_ok, tape_ok);
+            assert_boxes_bit_equal(&tree_region, &tape_region);
+        }
+    }
+
+    #[test]
+    fn a_root_inside_a_chain_span_revises_from_a_partial_prefix() {
+        // The chain 0.1 + 0.5·x + 2·tanh(y) is lowered first; the second
+        // root, tanh(y), lands between its first add and its top, so the
+        // second atom's prefix stops short of the chain.
+        let c = Expr::constant;
+        let clause = vec![
+            Constraint::le(c(0.1) + c(0.5) * x() + c(2.0) * y().tanh(), -1.0),
+            Constraint::ge(y().tanh(), 0.5),
+        ];
+        let compiled = CompiledClause::compile(&clause);
+        let tape = compiled.tape();
+        assert_eq!(tape.num_chain_terms(), 2);
+        let (chain_top, inner_root) = (tape.root_slot(0), tape.root_slot(1));
+        assert!(inner_root < chain_top);
+        let inner = compiled.atoms[1].prefix;
+        assert!(inner.steps < compiled.full.steps);
+
+        // Fill every slot from another box, then sweep only the inner
+        // root's prefix: the chain's interior keeps the other box's values.
+        let mut scratch = compiled.scratch();
+        let stale = IntervalBox::from_bounds(&[(10.0, 20.0), (-3.0, -2.0)]);
+        compiled.ensure_prefix(&stale, &mut scratch, compiled.full);
+        let TapeInstr::Binary(_, first_add, _) = tape.instr(chain_top) else {
+            panic!("the chain's top is an add");
+        };
+        assert!(first_add < inner_root);
+        let stale_add = scratch.slots[first_add];
+
+        let region = IntervalBox::from_bounds(&[(-4.0, 4.0), (-1.0, 1.0)]);
+        scratch.valid = Prefix::default();
+        compiled.ensure_prefix(&region, &mut scratch, inner);
+        assert_eq!(scratch.slots[first_add], stale_add, "interior left stale");
+        let mut tape_region = region.clone();
+        let revised = compiled.revise_backward(
+            inner_root,
+            compiled.atoms[1].admissible,
+            &mut tape_region,
+            &mut scratch,
+        );
+        let mut tree_region = region.clone();
+        assert!(hc4_revise(&clause[1], &mut tree_region));
+        assert!(matches!(revised, Revised::Narrowed));
+        assert_boxes_bit_equal(&tree_region, &tape_region);
+
+        // Through the contractor: the first revise narrows x, resetting the
+        // sweep, so the second runs from the partial prefix.
+        for rounds in [1usize, 4] {
+            let mut tape_region = region.clone();
+            let mut tree_region = region.clone();
+            let tape_ok = compiled.contract(&mut tape_region, rounds, &mut scratch);
+            assert_eq!(contract_clause(&clause, &mut tree_region, rounds), tape_ok);
             assert_boxes_bit_equal(&tree_region, &tape_region);
         }
     }

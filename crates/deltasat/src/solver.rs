@@ -74,8 +74,12 @@ pub struct SolverStats {
     pub bisections: usize,
     /// Number of DNF clauses examined.
     pub clauses_examined: usize,
-    /// Tape instructions executed by forward sweeps (feasibility and
-    /// contraction).  `0` under the tree-walking reference evaluator.
+    /// Tape instructions covered by forward sweeps (feasibility and
+    /// contraction), counted in tape *slots*: a constant slot (written once
+    /// per solve) and every slot of a fused chain step count as one each,
+    /// so the count does not depend on how the sweep schedules the tape.
+    /// Fuel is charged the same amount.  `0` under the tree-walking
+    /// reference evaluator.
     pub instructions_executed: usize,
     /// Sum over processed boxes of the clause's tape length.  `0` under the
     /// tree-walking reference evaluator.  The name predates the removal of

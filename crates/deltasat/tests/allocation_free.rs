@@ -75,13 +75,21 @@ fn steady_state_box_loop_does_not_allocate() {
     let _serial = serialize();
     let x = Expr::var(0);
     let y = Expr::var(1);
-    // A clause with transcendentals, sharing, and two constraints — the same
-    // shape the barrier queries have.
+    // A clause with transcendentals, sharing, a fused linear chain (a
+    // neuron's pre-activation, `b + w₀·x + w₁·y`), and three constraints —
+    // the same shape the barrier queries have.
+    let c = Expr::constant;
     let shared = (x.clone() * 0.7 + y.clone()).tanh();
+    let neuron = (c(0.1) + c(0.5) * x.clone() + c(-2.0) * y.clone()).tanh();
     let clause = CompiledClause::compile(&[
         Constraint::ge(shared.clone() * x.clone() + y.clone().powi(2), -0.5),
         Constraint::le(shared * 2.0 + x.clone().sin(), 1.5),
+        Constraint::le(neuron + c(0.5) * x.clone(), 1.0),
     ]);
+    assert!(
+        clause.tape().num_chain_terms() > 0,
+        "the clause runs a chain step"
+    );
     let mut scratch = clause.scratch();
     let domain = IntervalBox::from_bounds(&[(-2.0, 2.0), (-2.0, 2.0)]);
 

@@ -37,10 +37,8 @@
 //! assert_ne!(fingerprint(&a), fingerprint(&c));
 //! ```
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::expr::Node;
+use crate::keyhash::KeyMap;
 use crate::Expr;
 
 /// A 128-bit structural identity key (see the [module docs](self)).
@@ -64,33 +62,6 @@ const PRIME_A: u64 = 0x0000_0100_0000_01b3;
 // simply equal.
 const OFFSET_B: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15;
 
-/// Hashes a node address for the `seen` map with one folded 64×64→128-bit
-/// multiply.  Addresses need no DoS-resistant hash, and SipHash dominated
-/// fingerprinting a large shared DAG.  The map's iteration order never
-/// reaches the digest (ids are assigned in visit order), so the hasher
-/// cannot change a fingerprint.
-#[derive(Debug, Default, Clone, Copy)]
-struct AddressHasher(u64);
-
-impl Hasher for AddressHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Pointer keys only call `write_usize`; anything else folds in
-        // byte by byte.
-        for &byte in bytes {
-            self.write_usize((self.0 as usize).rotate_left(8) ^ byte as usize);
-        }
-    }
-
-    fn write_usize(&mut self, address: usize) {
-        let product = (address as u128).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = (product as u64) ^ ((product >> 64) as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Incremental structural hasher producing a [`Fingerprint`].
 ///
 /// `Clone` is cheap enough to use for key derivation: callers absorb a
@@ -100,7 +71,9 @@ pub struct StructuralHasher {
     a: u64,
     b: u64,
     /// First-visit ids of `Arc`-shared subtrees, keyed by node address.
-    seen: HashMap<*const Node, u32, BuildHasherDefault<AddressHasher>>,
+    /// The map's iteration order never reaches the digest (ids are
+    /// assigned in visit order).
+    seen: KeyMap<*const Node, u32>,
 }
 
 impl Default for StructuralHasher {
@@ -115,7 +88,7 @@ impl StructuralHasher {
         StructuralHasher {
             a: OFFSET_A,
             b: OFFSET_B,
-            seen: HashMap::default(),
+            seen: KeyMap::default(),
         }
     }
 

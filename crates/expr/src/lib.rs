@@ -48,6 +48,7 @@ mod diff;
 mod eval;
 mod expr;
 pub mod fingerprint;
+mod keyhash;
 mod ops;
 mod scalar;
 mod simplify;

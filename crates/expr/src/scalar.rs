@@ -41,6 +41,7 @@
 
 use std::collections::HashMap;
 
+use crate::tape::Step;
 use crate::{BinaryOp, Expr, Tape, TapeInstr, UnaryOp};
 
 /// One program instruction.  Operands are register indices; instruction `i`
@@ -58,14 +59,6 @@ enum Op {
     /// `acc = c₀ * s₀; acc = acc + cₖ * sₖ` for the terms `start..end`
     /// (term `start` is the chain's leading product).
     LinFromProduct { start: u32, end: u32 },
-}
-
-/// A fused linear chain found during lowering: `head` is the accumulator's
-/// starting slot (`None` when the chain starts from its first product) and
-/// `terms` the `(coefficient, source slot)` products in evaluation order.
-struct Chain {
-    head: Option<usize>,
-    terms: Vec<(f64, usize)>,
 }
 
 /// A compiled point evaluator for one or more expressions, bit-identical to
@@ -124,103 +117,34 @@ impl ScalarProgram {
         ScalarProgram::lower(&Tape::compile_many(roots))
     }
 
-    /// Lowers a tape: decides which slots fuse into linear chains, assigns
-    /// registers, and emits the surviving instructions in tape order.
+    /// Lowers a tape: follows its forward schedule (so the chains are the
+    /// ones the tape's interval sweep fuses), assigns registers, and emits
+    /// one instruction per step that is not a variable load.
     pub(crate) fn lower(tape: &Tape) -> ScalarProgram {
         let n = tape.num_slots();
-        let instrs: Vec<TapeInstr> = (0..n).map(|i| tape.instr(i)).collect();
-        let mut uses = vec![0u32; n];
-        for instr in &instrs {
-            match *instr {
-                TapeInstr::Const(..) | TapeInstr::Var(_) => {}
-                TapeInstr::Unary(_, a) | TapeInstr::Powi(a, _) => uses[a] += 1,
-                TapeInstr::Binary(_, a, b) => {
-                    uses[a] += 1;
-                    uses[b] += 1;
-                }
-            }
-        }
-        let mut is_root = vec![false; n];
-        for k in 0..tape.num_roots() {
-            is_root[tape.root_slot(k)] = true;
-        }
-        let fusable = |slot: usize| uses[slot] == 1 && !is_root[slot];
-        // `Mul(Const c, s)` with the constant on the left, as `c * s`
-        // evaluates: its coefficient and source.
-        let product = |slot: usize| match instrs[slot] {
-            TapeInstr::Binary(BinaryOp::Mul, c, s) => match instrs[c] {
-                TapeInstr::Const(value, _) => Some((value, s)),
-                _ => None,
-            },
-            _ => None,
-        };
-        // `Add(acc, p)` whose product `p` only this add reads: the
-        // accumulator slot, the product slot and the product's term.
-        let link = |slot: usize| match instrs[slot] {
-            TapeInstr::Binary(BinaryOp::Add, acc, p) if fusable(p) => {
-                product(p).map(|term| (acc, p, term))
-            }
-            _ => None,
-        };
-
-        // Slots folded into a chain: they get neither an instruction nor a
-        // register.  Tape order is topological, so walking it backwards
-        // reaches every chain at its top add before its interior.
-        let mut absorbed = vec![false; n];
-        // The chains, keyed by their top add.
-        let mut chains: HashMap<usize, Chain> = HashMap::new();
-        for top in (0..n).rev() {
-            if absorbed[top] {
-                continue;
-            }
-            let Some((mut acc, p, term)) = link(top) else {
-                continue;
-            };
-            absorbed[p] = true;
-            let mut terms = vec![term];
-            while fusable(acc) {
-                let Some((inner, p, term)) = link(acc) else {
-                    break;
-                };
-                absorbed[acc] = true;
-                absorbed[p] = true;
-                terms.push(term);
-                acc = inner;
-            }
-            let head = match product(acc) {
-                Some((c, s)) if fusable(acc) => {
-                    absorbed[acc] = true;
-                    terms.push((c, s));
-                    None
-                }
-                _ => Some(acc),
-            };
-            terms.reverse();
-            chains.insert(top, Chain { head, terms });
-        }
-
         // Registers: constants that an instruction, chain head or root reads,
         // then the variables, then one register per emitted instruction.
         let mut read = vec![false; n];
-        for (i, instr) in instrs.iter().enumerate() {
-            if absorbed[i] {
-                continue;
-            }
-            if let Some(chain) = chains.get(&i) {
-                if let Some(head) = chain.head {
-                    read[head] = true;
-                }
-                for &(_, s) in &chain.terms {
-                    read[s] = true;
-                }
-                continue;
-            }
-            match *instr {
-                TapeInstr::Const(..) | TapeInstr::Var(_) => {}
-                TapeInstr::Unary(_, a) | TapeInstr::Powi(a, _) => read[a] = true,
-                TapeInstr::Binary(_, a, b) => {
-                    read[a] = true;
-                    read[b] = true;
+        for k in 0..tape.num_steps() {
+            match tape.step(k) {
+                Step::Slot(i) => match tape.instr(i) {
+                    TapeInstr::Const(..) | TapeInstr::Var(_) => {}
+                    TapeInstr::Unary(_, a) | TapeInstr::Powi(a, _) => read[a] = true,
+                    TapeInstr::Binary(_, a, b) => {
+                        read[a] = true;
+                        read[b] = true;
+                    }
+                },
+                Step::Chain(chain) => {
+                    let (head, products) = tape.chain_terms(chain);
+                    if let Some(head) = head {
+                        read[head] = true;
+                    }
+                    for p in products {
+                        if let TapeInstr::Binary(_, _, s) = tape.instr(p) {
+                            read[s] = true;
+                        }
+                    }
                 }
             }
         }
@@ -230,10 +154,10 @@ impl ScalarProgram {
         let mut register = vec![u32::MAX; n];
         let mut consts = Vec::new();
         let mut const_register: HashMap<u64, u32> = HashMap::new();
-        for (i, instr) in instrs.iter().enumerate() {
-            if let TapeInstr::Const(value, _) = *instr {
+        for (i, reg) in register.iter_mut().enumerate() {
+            if let TapeInstr::Const(value, _) = tape.instr(i) {
                 if read[i] {
-                    register[i] = *const_register.entry(value.to_bits()).or_insert_with(|| {
+                    *reg = *const_register.entry(value.to_bits()).or_insert_with(|| {
                         consts.push(value);
                         (consts.len() - 1) as u32
                     });
@@ -242,61 +166,63 @@ impl ScalarProgram {
         }
         let num_vars = tape.num_vars();
         let first_var = consts.len();
-        let mut next = first_var + num_vars;
-        for (i, instr) in instrs.iter().enumerate() {
-            match *instr {
-                TapeInstr::Const(..) => {}
-                TapeInstr::Var(v) => register[i] = (first_var + v) as u32,
-                _ if absorbed[i] => {}
-                _ => {
-                    register[i] = next as u32;
-                    next += 1;
-                }
-            }
-        }
-
         let mut program = ScalarProgram {
             consts,
             num_vars,
-            ops: Vec::with_capacity(next - first_var - num_vars),
-            coefficients: Vec::new(),
-            sources: Vec::new(),
-            roots: (0..tape.num_roots())
-                .map(|k| register[tape.root_slot(k)])
-                .collect(),
+            ops: Vec::with_capacity(tape.num_steps()),
+            coefficients: Vec::with_capacity(tape.num_chain_terms()),
+            sources: Vec::with_capacity(tape.num_chain_terms()),
+            roots: Vec::new(),
         };
-        let reg = |slot: usize| register[slot];
-        for (i, instr) in instrs.iter().enumerate() {
-            if absorbed[i] || matches!(instr, TapeInstr::Const(..) | TapeInstr::Var(_)) {
-                continue;
-            }
-            let op = if let Some(Chain { head, terms }) = chains.remove(&i) {
-                let start = program.sources.len() as u32;
-                for (c, s) in terms {
-                    program.coefficients.push(c);
-                    program.sources.push(reg(s));
+        let mut next = (first_var + num_vars) as u32;
+        for k in 0..tape.num_steps() {
+            let (slot, op) = match tape.step(k) {
+                Step::Slot(i) => {
+                    let op = match tape.instr(i) {
+                        TapeInstr::Var(v) => {
+                            register[i] = (first_var + v) as u32;
+                            continue;
+                        }
+                        TapeInstr::Unary(op, a) => Op::Unary(op, register[a]),
+                        TapeInstr::Binary(op, a, b) => Op::Binary(op, register[a], register[b]),
+                        TapeInstr::Powi(a, e) => Op::Powi(register[a], e),
+                        TapeInstr::Const(..) => unreachable!("constant slots have no step"),
+                    };
+                    (i, op)
                 }
-                let end = program.sources.len() as u32;
-                match head {
-                    Some(head) => Op::Lin {
-                        head: reg(head),
-                        start,
-                        end,
-                    },
-                    None => Op::LinFromProduct { start, end },
-                }
-            } else {
-                match *instr {
-                    TapeInstr::Unary(op, a) => Op::Unary(op, reg(a)),
-                    TapeInstr::Binary(op, a, b) => Op::Binary(op, reg(a), reg(b)),
-                    TapeInstr::Powi(a, e) => Op::Powi(reg(a), e),
-                    TapeInstr::Const(..) | TapeInstr::Var(_) => unreachable!("skipped above"),
+                Step::Chain(chain) => {
+                    let (head, products) = tape.chain_terms(chain);
+                    let start = program.sources.len() as u32;
+                    for p in products {
+                        let TapeInstr::Binary(_, c, s) = tape.instr(p) else {
+                            unreachable!("chain terms are products");
+                        };
+                        let TapeInstr::Const(c, _) = tape.instr(c) else {
+                            unreachable!("chain coefficients are constants");
+                        };
+                        program.coefficients.push(c);
+                        program.sources.push(register[s]);
+                    }
+                    let end = program.sources.len() as u32;
+                    let op = match head {
+                        Some(head) => Op::Lin {
+                            head: register[head],
+                            start,
+                            end,
+                        },
+                        None => Op::LinFromProduct { start, end },
+                    };
+                    (*chain.last().expect("chains are non-empty") as usize, op)
                 }
             };
+            register[slot] = next;
+            next += 1;
             program.ops.push(op);
         }
-        program.coefficients.shrink_to_fit();
-        program.sources.shrink_to_fit();
+        program.ops.shrink_to_fit();
+        program.roots = (0..tape.num_roots())
+            .map(|k| register[tape.root_slot(k)])
+            .collect();
         program
     }
 

@@ -17,27 +17,37 @@
 //!   instructions.  A folded constant stores both its scalar value and the
 //!   *interval enclosure* the runtime interval evaluation of the subtree
 //!   would have produced, so folding is bit-invisible.
-//! * Evaluation is a non-recursive register machine writing into a
-//!   caller-owned slot buffer, so steady-state evaluation performs **zero
-//!   heap allocations** — the buffers are reused across calls.
+//! * **Chain fusion** fixes a forward *schedule* once per build: every
+//!   `Add(Add(head, Mul(c₁, s₁)), Mul(c₂, s₂))…` chain with constant
+//!   coefficients — a neuron pre-activation `b + Σ wⱼ·xⱼ` — whose products
+//!   and partial sums are single-use and not roots becomes one step, every
+//!   other non-constant slot is a step of its own, and constants have no
+//!   step.  The schedule is the one lowering both evaluators run: the
+//!   interval sweep here and the point evaluator
+//!   [`ScalarProgram`](crate::ScalarProgram), which is lowered from it.
+//! * Evaluation is a non-recursive register machine over a caller-owned,
+//!   full-length slot buffer: [`Tape::load_constants`] writes the constant
+//!   slots once, and [`Tape::eval_interval_steps`] runs a range of steps,
+//!   writing every slot it computes by index.  Steady-state evaluation
+//!   performs **zero heap allocations**.
 //!
 //! Several expressions (for example every constraint of a δ-SAT clause) can
 //! be compiled into one tape with [`Tape::compile_many`], sharing slots
 //! across roots.
 //!
-//! The tape is the *interval* IR.  Point evaluation goes through a
-//! [`ScalarProgram`](crate::ScalarProgram), which is lowered from a tape
-//! (reusing its CSE and folding) and fuses its constant loads and linear
-//! chains away.
-//!
 //! # Determinism
 //!
-//! For any expression and box, [`Tape::eval_box`] is bit-identical to
-//! [`Expr::eval_box`]: the tape performs the same interval operations in the
-//! same dependency order, merely skipping redundant recomputation of shared
-//! subexpressions (which would produce the same bits) and pre-computing
-//! variable-free subexpressions (storing exactly the bits the runtime would
-//! produce).
+//! For any expression and box, every slot of an interval sweep is
+//! bit-identical to evaluating its subexpression with [`Expr::eval_box`]:
+//! the tape performs the same interval operations in the same dependency
+//! order, merely skipping redundant recomputation of shared subexpressions
+//! (which would produce the same bits) and pre-computing variable-free
+//! subexpressions (storing exactly the bits the runtime would produce).  A
+//! chain step accumulates left to right with no reassociation and no fused
+//! multiply-add, records each product and partial sum in its own slot, and
+//! forms its products with [`Interval::point_mul`] only where that is
+//! bit-identical to the generic product: when the coefficient's enclosure
+//! is a single point.
 //!
 //! # Examples
 //!
@@ -58,11 +68,13 @@
 //! ```
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use nncps_interval::{Interval, IntervalBox};
 
 use crate::expr::Node;
+use crate::keyhash::KeyMap;
 use crate::{BinaryOp, Expr, UnaryOp};
 
 /// Operation tag of one tape instruction (the struct-of-arrays "opcode"
@@ -97,6 +109,21 @@ enum CseKey {
 /// interval enclosure (a folded constant's enclosure can be wider than a
 /// literal's singleton, so all three participate in identity).
 type ConstKey = (u64, u64, u64);
+
+/// Tag bit of a [`Tape`] step that runs a fused chain; the low bits index
+/// the chain.
+const CHAIN_STEP: u32 = 1 << 31;
+
+/// One step of a tape's forward schedule.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step<'a> {
+    /// Evaluate one slot.
+    Slot(usize),
+    /// Run a fused chain.  The slots are the chain's leading product, when
+    /// it starts from one, and then its adds, left to right; the last one
+    /// is the chain's top.
+    Chain(&'a [u32]),
+}
 
 /// A pattern-matchable view of one tape instruction, analogous to
 /// [`ExprView`](crate::ExprView) but with operands given as slot indices.
@@ -165,6 +192,15 @@ pub struct Tape {
     roots: Vec<u32>,
     /// `1 + max variable index`, or `0` when no variables occur.
     num_vars: usize,
+    /// The forward schedule, one entry per step in evaluation order: the
+    /// slot a plain step writes, or `CHAIN_STEP | k` for fused chain `k`.
+    /// Constant slots have no step.
+    steps: Vec<u32>,
+    /// The slots of every fused chain, chain after chain in step order (see
+    /// [`Step::Chain`]).
+    chain_slots: Vec<u32>,
+    /// Chain `k` is `chain_slots[chain_bounds[k]..chain_bounds[k + 1]]`.
+    chain_bounds: Vec<u32>,
 }
 
 /// Hash-consing state used during lowering.
@@ -176,12 +212,13 @@ struct Builder {
     const_scalars: Vec<f64>,
     const_intervals: Vec<Interval>,
     /// Structural CSE table of the non-constant instructions.
-    cse: HashMap<CseKey, u32>,
-    /// CSE table of the constants.
+    cse: KeyMap<CseKey, u32>,
+    /// CSE table of the constants.  Their bits come from the program's
+    /// input, so this table keeps the standard seeded hasher.
     consts: HashMap<ConstKey, u32>,
     /// `Arc` pointer identity cache: shared subtrees resolve in O(1) without
     /// re-walking them.
-    by_ptr: HashMap<usize, u32>,
+    by_ptr: KeyMap<usize, u32>,
     num_vars: usize,
 }
 
@@ -302,7 +339,13 @@ impl Builder {
     /// Dead-code elimination: constant folding can orphan the instructions
     /// it folded away (and their pool entries), so keep only slots reachable
     /// from the roots, preserving their relative (topological) order.
-    fn compact(self, roots: Vec<u32>) -> Tape {
+    /// Returns the tape without its schedule, and the reads of each slot.
+    fn compact(self, roots: Vec<u32>) -> (Tape, Vec<u32>) {
+        // The lookup tables are done; free them before the tape is built,
+        // so compiling a large clause peaks lower.
+        drop(self.cse);
+        drop(self.consts);
+        drop(self.by_ptr);
         let mut live = vec![false; self.ops.len()];
         for &root in &roots {
             live[root as usize] = true;
@@ -321,7 +364,6 @@ impl Builder {
             }
         }
         let mut slot_map = vec![u32::MAX; self.ops.len()];
-        let mut const_map: HashMap<u32, u32> = HashMap::new();
         // Exact capacities: the tape lives as long as its owner, so it
         // carries no growth slack.
         let slots = live.iter().filter(|&&l| l).count();
@@ -336,37 +378,48 @@ impl Builder {
             const_intervals: Vec::with_capacity(consts),
             roots: Vec::new(),
             num_vars: self.num_vars,
+            steps: Vec::new(),
+            chain_slots: Vec::new(),
+            chain_bounds: Vec::new(),
         };
+        // Reads per compacted slot, for the schedule.
+        let mut uses = vec![0u32; slots];
         for i in 0..self.ops.len() {
             if !live[i] {
                 continue;
             }
             slot_map[i] = tape.ops.len() as u32;
             let (lhs, rhs) = match self.ops[i] {
+                // Each constant-pool entry has exactly one slot, so live
+                // constants renumber in slot order.
                 OpCode::Const => {
-                    let old = self.lhs[i];
-                    let new = *const_map.entry(old).or_insert_with(|| {
-                        let idx = tape.const_scalars.len() as u32;
-                        tape.const_scalars.push(self.const_scalars[old as usize]);
-                        tape.const_intervals
-                            .push(self.const_intervals[old as usize]);
-                        idx
-                    });
-                    (new, 0)
+                    let old = self.lhs[i] as usize;
+                    tape.const_scalars.push(self.const_scalars[old]);
+                    tape.const_intervals.push(self.const_intervals[old]);
+                    (tape.const_scalars.len() as u32 - 1, 0)
                 }
                 OpCode::Var => (self.lhs[i], 0),
-                OpCode::Unary(_) | OpCode::Powi => (slot_map[self.lhs[i] as usize], self.rhs[i]),
-                OpCode::Binary(_) => (
-                    slot_map[self.lhs[i] as usize],
-                    slot_map[self.rhs[i] as usize],
-                ),
+                OpCode::Unary(_) | OpCode::Powi => {
+                    let a = slot_map[self.lhs[i] as usize];
+                    uses[a as usize] += 1;
+                    (a, self.rhs[i])
+                }
+                OpCode::Binary(_) => {
+                    let (a, b) = (
+                        slot_map[self.lhs[i] as usize],
+                        slot_map[self.rhs[i] as usize],
+                    );
+                    uses[a as usize] += 1;
+                    uses[b as usize] += 1;
+                    (a, b)
+                }
             };
             tape.ops.push(self.ops[i]);
             tape.lhs.push(lhs);
             tape.rhs.push(rhs);
         }
         tape.roots = roots.iter().map(|&r| slot_map[r as usize]).collect();
-        tape
+        (tape, uses)
     }
 }
 
@@ -384,7 +437,136 @@ impl Tape {
         nncps_fault::panic_point(nncps_fault::SITE_TAPE_COMPILE);
         let mut builder = Builder::default();
         let root_slots: Vec<u32> = roots.iter().map(|r| builder.lower(r)).collect();
-        builder.compact(root_slots)
+        let (mut tape, uses) = builder.compact(root_slots);
+        tape.schedule(uses);
+        tape
+    }
+
+    /// Finds the fused chains and builds the forward schedule — the one
+    /// lowering both the interval sweep and [`ScalarProgram`](crate::ScalarProgram)
+    /// run.  `uses` counts the reads of each slot.
+    ///
+    /// A chain is `Add(Add(head, Mul(c₁, s₁)), Mul(c₂, s₂))…` with constant
+    /// coefficients `cₖ` on the left.  A product or partial sum joins a
+    /// chain only when the chain is its single use and it is not a root, so
+    /// no value another slot or the caller reads is ever deferred.  The
+    /// head is either an ordinary slot or the chain's own leading product.
+    /// Tape order is topological, so walking it backwards reaches every
+    /// chain at its top add before its interior.  Each chain runs as one
+    /// step at its top's position; every other non-constant slot is a step
+    /// of its own.
+    fn schedule(&mut self, mut uses: Vec<u32>) {
+        // A root counts as two extra reads, so it never fuses.
+        for &root in &self.roots {
+            uses[root as usize] += 2;
+        }
+        let fusable = |slot: usize| uses[slot] == 1;
+        let product = |slot: usize| {
+            self.ops[slot] == OpCode::Binary(BinaryOp::Mul)
+                && self.ops[self.lhs[slot] as usize] == OpCode::Const
+        };
+        // `Add(acc, p)` whose product `p` only this add reads: the
+        // accumulator slot.
+        let link = |slot: usize| {
+            let p = self.rhs[slot] as usize;
+            (self.ops[slot] == OpCode::Binary(BinaryOp::Add) && fusable(p) && product(p))
+                .then_some(self.lhs[slot] as usize)
+        };
+
+        const ABSORBED: u8 = 1;
+        const TOP: u8 = 2;
+        let n = self.ops.len();
+        let mut role = vec![0u8; n];
+        // Walking backwards lists the chains last to first, each top-down;
+        // reversing both lists at the end puts them in step order, each
+        // left to right.
+        let mut chain_slots = Vec::new();
+        let mut ends = vec![0u32];
+        for top in (0..n).rev() {
+            if role[top] == ABSORBED {
+                continue;
+            }
+            let Some(mut acc) = link(top) else {
+                continue;
+            };
+            role[top] = TOP;
+            role[self.rhs[top] as usize] = ABSORBED;
+            chain_slots.push(top as u32);
+            while fusable(acc) {
+                let Some(inner) = link(acc) else {
+                    break;
+                };
+                role[acc] = ABSORBED;
+                role[self.rhs[acc] as usize] = ABSORBED;
+                chain_slots.push(acc as u32);
+                acc = inner;
+            }
+            if fusable(acc) && product(acc) {
+                role[acc] = ABSORBED;
+                chain_slots.push(acc as u32);
+            }
+            ends.push(chain_slots.len() as u32);
+        }
+        chain_slots.reverse();
+        chain_slots.shrink_to_fit();
+        let total = chain_slots.len() as u32;
+        let chain_bounds: Vec<u32> = ends.iter().rev().map(|&end| total - end).collect();
+
+        let mut steps = Vec::new();
+        let mut chain = 0u32;
+        for (i, (&role, &op)) in role.iter().zip(&self.ops).enumerate() {
+            match role {
+                ABSORBED => {}
+                TOP => {
+                    steps.push(CHAIN_STEP | chain);
+                    chain += 1;
+                }
+                _ if op == OpCode::Const => {}
+                _ => steps.push(i as u32),
+            }
+        }
+        steps.shrink_to_fit();
+        self.steps = steps;
+        self.chain_slots = chain_slots;
+        self.chain_bounds = chain_bounds;
+    }
+
+    /// Step `k` of the forward schedule.
+    pub(crate) fn step(&self, k: usize) -> Step<'_> {
+        let step = self.steps[k];
+        if step & CHAIN_STEP == 0 {
+            Step::Slot(step as usize)
+        } else {
+            Step::Chain(self.chain(step))
+        }
+    }
+
+    /// The slots of the chain a chain step runs.
+    #[inline]
+    fn chain(&self, step: u32) -> &[u32] {
+        let k = (step & !CHAIN_STEP) as usize;
+        &self.chain_slots[self.chain_bounds[k] as usize..self.chain_bounds[k + 1] as usize]
+    }
+
+    /// Splits a chain into its head slot (`None` when the chain starts from
+    /// its leading product) and its product slots, left to right.
+    pub(crate) fn chain_terms<'a>(
+        &'a self,
+        chain: &'a [u32],
+    ) -> (Option<usize>, impl Iterator<Item = usize> + 'a) {
+        let first = chain[0] as usize;
+        let (head, leading) = if self.ops[first] == OpCode::Binary(BinaryOp::Mul) {
+            (None, Some(first))
+        } else {
+            (Some(self.lhs[first] as usize), None)
+        };
+        let adds = &chain[leading.is_some() as usize..];
+        (
+            head,
+            leading
+                .into_iter()
+                .chain(adds.iter().map(|&add| self.rhs[add as usize] as usize)),
+        )
     }
 
     /// Number of instructions (equivalently, slots) in the tape.
@@ -443,52 +625,146 @@ impl Tape {
         );
     }
 
+    /// Number of steps in the forward schedule: one per fused chain and one
+    /// per remaining non-constant slot.
+    pub fn num_steps(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Number of products fused into chains (each chain step computes its
+    /// products and partial sums in one pass).
+    pub fn num_chain_terms(&self) -> usize {
+        self.chain_slots.len()
+    }
+
+    /// The number of leading steps that evaluate the prefix `0..=slot`.
+    ///
+    /// Running them computes every slot up to `slot` except the interior of
+    /// a chain whose top lies beyond `slot`; only that chain reads those
+    /// slots, so everything a root at or before `slot` depends on is
+    /// computed.  This is a binary search: compute it once, not per sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= self.num_slots()`.
+    pub fn steps_through(&self, slot: usize) -> usize {
+        assert!(slot < self.ops.len(), "slot {slot} is out of range");
+        self.steps.partition_point(|&step| {
+            let last = match step & CHAIN_STEP {
+                0 => step,
+                _ => *self.chain(step).last().expect("chains are non-empty"),
+            };
+            last as usize <= slot
+        })
+    }
+
+    /// Sizes `slots` to [`Tape::num_slots`] and writes every constant slot.
+    ///
+    /// Sweeps never write constant slots, so a buffer loaded once serves
+    /// every later [`Tape::eval_interval_steps`] call of this tape.
+    pub fn load_constants(&self, slots: &mut Vec<Interval>) {
+        slots.resize(self.ops.len(), Interval::EMPTY);
+        for (i, op) in self.ops.iter().enumerate() {
+            if *op == OpCode::Const {
+                slots[i] = self.const_intervals[self.lhs[i] as usize];
+            }
+        }
+    }
+
     /// Evaluates every slot over an interval box, reusing `slots` as the
-    /// register file (cleared and refilled; no allocation once warm).
+    /// register file (resized to [`Tape::num_slots`]; no allocation once
+    /// warm).
     ///
     /// # Panics
     ///
     /// Panics if the tape references a variable index out of bounds for the
     /// box.
     pub fn eval_interval_into(&self, region: &IntervalBox, slots: &mut Vec<Interval>) {
-        slots.clear();
-        self.eval_interval_extend_into(region, slots, self.ops.len());
+        self.load_constants(slots);
+        self.eval_interval_steps(region, slots, 0..self.steps.len());
     }
 
-    /// Extends a partial forward evaluation: computes slots
-    /// `slots.len()..count`, assuming the already-present prefix was
-    /// produced by this tape on the *same* region.
+    /// Runs the forward steps `steps` over `region`, writing each computed
+    /// slot by index.
     ///
-    /// Because instructions are topologically ordered, the prefix
-    /// `0..=self.root_slot(k)` contains everything root `k` depends on.  The
-    /// δ-SAT contractor uses this to grow one shared forward sweep across the
-    /// revises of a contraction pass instead of re-evaluating the common
-    /// prefix per constraint; the computed values are bit-identical to a
-    /// fresh evaluation.
+    /// `slots` must come from [`Tape::load_constants`] and hold the results
+    /// of steps `0..steps.start` on the *same* region.  The δ-SAT contractor
+    /// uses this to grow one shared forward sweep across the revises of a
+    /// contraction pass, stopping at each root's [`Tape::steps_through`];
+    /// the computed values are bit-identical to a fresh evaluation.
+    ///
+    /// A chain step writes each of its products and partial sums to its own
+    /// slot, so the recorded values are the ones a per-slot sweep would
+    /// leave.  Its products go through [`Interval::point_mul`] when the
+    /// coefficient's enclosure is a single point (the generic product
+    /// otherwise, as for a folded constant with a wider enclosure), and it
+    /// accumulates left to right through the operator functions.
     ///
     /// # Panics
     ///
-    /// Panics if `count > self.num_slots()` or the evaluated range
-    /// references a variable index out of bounds for the box.
-    pub fn eval_interval_extend_into(
+    /// Panics if `slots` is not [`Tape::num_slots`] long, `steps` exceeds
+    /// [`Tape::num_steps`], or the tape references a variable index out of
+    /// bounds for the box.
+    pub fn eval_interval_steps(
         &self,
         region: &IntervalBox,
-        slots: &mut Vec<Interval>,
-        count: usize,
+        slots: &mut [Interval],
+        steps: Range<usize>,
     ) {
-        assert!(count <= self.ops.len(), "prefix exceeds tape length");
+        assert_eq!(slots.len(), self.ops.len(), "slot buffer of another tape");
         self.check_box_inputs(region.dim());
-        slots.reserve(count.saturating_sub(slots.len()));
-        for i in slots.len()..count {
+        for &step in &self.steps[steps] {
+            if step & CHAIN_STEP != 0 {
+                self.run_chain(self.chain(step), slots);
+                continue;
+            }
+            let i = step as usize;
             let lhs = self.lhs[i] as usize;
-            let v = match self.ops[i] {
-                OpCode::Const => self.const_intervals[lhs],
+            slots[i] = match self.ops[i] {
                 OpCode::Var => region[lhs],
                 OpCode::Unary(op) => op.apply_interval(slots[lhs]),
                 OpCode::Binary(op) => op.apply_interval(slots[lhs], slots[self.rhs[i] as usize]),
                 OpCode::Powi => slots[lhs].powi(self.rhs[i] as i32),
+                OpCode::Const => unreachable!("constant slots have no step"),
             };
-            slots.push(v);
+        }
+    }
+
+    /// Runs a fused chain: `acc = head` (or its leading product), then
+    /// `acc = acc + cⱼ * sⱼ` left to right, recording every product and
+    /// partial sum in its slot.
+    #[inline]
+    fn run_chain(&self, chain: &[u32], slots: &mut [Interval]) {
+        let first = chain[0] as usize;
+        let (mut acc, adds) = if self.ops[first] == OpCode::Binary(BinaryOp::Mul) {
+            let p = self.chain_product(first, slots);
+            slots[first] = p;
+            (p, &chain[1..])
+        } else {
+            (slots[self.lhs[first] as usize], chain)
+        };
+        for &add in adds {
+            let add = add as usize;
+            let product = self.rhs[add] as usize;
+            let p = self.chain_product(product, slots);
+            slots[product] = p;
+            acc = BinaryOp::Add.apply_interval(acc, p);
+            slots[add] = acc;
+        }
+    }
+
+    /// The product slot `product` = `Mul(Const c, s)` of a chain.  The
+    /// coefficient is read from its constant slot, so a folded constant
+    /// contributes its own enclosure; an empty enclosure (a NaN constant)
+    /// or a wider one takes the generic product.
+    #[inline]
+    fn chain_product(&self, product: usize, slots: &[Interval]) -> Interval {
+        let c = slots[self.lhs[product] as usize];
+        let s = slots[self.rhs[product] as usize];
+        if c.is_singleton() {
+            Interval::point_mul(c.lo(), s)
+        } else {
+            BinaryOp::Mul.apply_interval(c, s)
         }
     }
 

@@ -440,6 +440,18 @@ impl Sub for Interval {
     }
 }
 
+/// The product of two endpoints in interval semantics: `0 · ∞` is `0`, not
+/// the NaN IEEE multiplication produces.
+#[inline]
+fn endpoint_product(a: f64, b: f64) -> f64 {
+    let p = a * b;
+    if p.is_nan() {
+        0.0
+    } else {
+        p
+    }
+}
+
 impl Mul for Interval {
     type Output = Interval;
     fn mul(self, rhs: Interval) -> Interval {
@@ -447,19 +459,48 @@ impl Mul for Interval {
             return Interval::EMPTY;
         }
         let candidates = [
-            self.lo * rhs.lo,
-            self.lo * rhs.hi,
-            self.hi * rhs.lo,
-            self.hi * rhs.hi,
+            endpoint_product(self.lo, rhs.lo),
+            endpoint_product(self.lo, rhs.hi),
+            endpoint_product(self.hi, rhs.lo),
+            endpoint_product(self.hi, rhs.hi),
         ];
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for c in candidates {
-            // 0 * inf produces NaN; in interval semantics that product is 0.
-            let c = if c.is_nan() { 0.0 } else { c };
             lo = lo.min(c);
             hi = hi.max(c);
         }
+        Interval::new(down(lo), up(hi))
+    }
+}
+
+impl Interval {
+    /// The product `c · x` of a point and an interval, bit-identical to
+    /// `Interval::singleton(c) * x` at half the endpoint products.
+    ///
+    /// A NaN `c` gives the empty interval, as `Interval::singleton(NaN)` is
+    /// empty.  The two products are ordered by comparison instead of the
+    /// generic `min`/`max` fold; the only pairs the fold could order
+    /// differently are `±0.0`, and the outward rounding shared with `Mul`
+    /// maps both signs of zero to the same endpoint.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use nncps_interval::Interval;
+    ///
+    /// let x = Interval::new(-1.0, 2.0);
+    /// assert_eq!(Interval::point_mul(-3.0, x), Interval::singleton(-3.0) * x);
+    /// assert!(Interval::point_mul(f64::NAN, x).is_empty());
+    /// ```
+    #[inline]
+    pub fn point_mul(c: f64, x: Interval) -> Interval {
+        if x.is_empty() || c.is_nan() {
+            return Interval::EMPTY;
+        }
+        let a = endpoint_product(c, x.lo);
+        let b = endpoint_product(c, x.hi);
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         Interval::new(down(lo), up(hi))
     }
 }
@@ -742,6 +783,56 @@ mod tests {
         assert_eq!(format!("{}", Interval::EMPTY), "∅");
     }
 
+    /// The special operands of the point×interval kernel.
+    const SPECIALS: [f64; 14] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        2.2e-308,
+        1.0,
+        -1.0,
+    ];
+
+    /// An operand for the `point_mul` property: a special value one time in
+    /// four, otherwise `unit` scaled to a magnitude between `1e-320` and
+    /// `1e300`, so products underflow to subnormals and zero or overflow.
+    fn point_mul_operand(code: usize, unit: f64) -> f64 {
+        if code.is_multiple_of(4) {
+            SPECIALS[(code / 4) % SPECIALS.len()]
+        } else {
+            unit * 10f64.powi((code % 62) as i32 * 10 - 320)
+        }
+    }
+
+    #[test]
+    fn point_mul_matches_the_generic_product_on_every_special_pair() {
+        let mut operands = vec![Interval::EMPTY];
+        for a in SPECIALS {
+            for b in SPECIALS {
+                operands.push(Interval::new(a, b));
+            }
+        }
+        for c in SPECIALS.into_iter().chain([3.5, -0.25, 1e-300, -1e300]) {
+            for &x in &operands {
+                let (fused, generic) = (Interval::point_mul(c, x), Interval::singleton(c) * x);
+                assert_eq!(fused.lo().to_bits(), generic.lo().to_bits(), "{c} * {x}");
+                assert_eq!(fused.hi().to_bits(), generic.hi().to_bits(), "{c} * {x}");
+            }
+        }
+        // 0 · ∞ is 0 in interval semantics, outward rounded.
+        let zero_times_entire = Interval::point_mul(0.0, Interval::ENTIRE);
+        assert_eq!(zero_times_entire, Interval::new(-5e-324, 5e-324));
+        assert!(Interval::point_mul(f64::NAN, Interval::new(1.0, 2.0)).is_empty());
+    }
+
     fn finite_interval() -> impl Strategy<Value = (Interval, f64)> {
         (-50.0f64..50.0, -50.0f64..50.0, 0.0f64..1.0).prop_map(|(a, b, t)| {
             let iv = Interval::from_unordered(a, b);
@@ -789,6 +880,30 @@ mod tests {
             if px.abs() < 30.0 {
                 let clamped = x.intersect(&Interval::new(-30.0, 30.0));
                 prop_assert!(clamped.exp().contains(px.exp()));
+            }
+        }
+
+        /// `point_mul` against the generic product over 512 pairs per case
+        /// (131,072 at the default case count), drawn so that signed zeros,
+        /// subnormals, infinities, NaN coefficients and empty operands all
+        /// occur in every case.
+        #[test]
+        fn prop_point_mul_is_bit_identical_to_singleton_product(
+            codes in collection::vec(0usize..1_000_000, 512),
+            magnitudes in collection::vec(-1.0f64..1.0, 1536),
+        ) {
+            for (k, &code) in codes.iter().enumerate() {
+                let c = point_mul_operand(code, magnitudes[3 * k]);
+                let a = point_mul_operand(code / 16, magnitudes[3 * k + 1]);
+                let b = point_mul_operand(code / 256, magnitudes[3 * k + 2]);
+                let x = if code.is_multiple_of(29) {
+                    Interval::EMPTY
+                } else {
+                    Interval::from_unordered(a, b)
+                };
+                let (fused, generic) = (Interval::point_mul(c, x), Interval::singleton(c) * x);
+                prop_assert_eq!(fused.lo().to_bits(), generic.lo().to_bits());
+                prop_assert_eq!(fused.hi().to_bits(), generic.hi().to_bits());
             }
         }
 

@@ -52,21 +52,6 @@ impl Trace {
         }
     }
 
-    /// Creates a trace from parallel vectors of times and states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ, any state has the wrong dimension, or
-    /// the times are not non-decreasing.
-    pub fn from_samples(dim: usize, times: Vec<f64>, states: Vec<Vec<f64>>) -> Self {
-        assert_eq!(times.len(), states.len(), "times/states length mismatch");
-        let mut trace = Trace::with_capacity(dim, times.len());
-        for (t, s) in times.into_iter().zip(&states) {
-            trace.push(t, s);
-        }
-        trace
-    }
-
     /// State dimension.
     pub fn dim(&self) -> usize {
         self.dim
@@ -235,11 +220,11 @@ mod tests {
     use super::*;
 
     fn sample_trace() -> Trace {
-        Trace::from_samples(
-            2,
-            vec![0.0, 0.1, 0.2],
-            vec![vec![1.0, 0.0], vec![0.9, -0.2], vec![0.7, -0.3]],
-        )
+        let mut trace = Trace::with_capacity(2, 3);
+        trace.push(0.0, &[1.0, 0.0]);
+        trace.push(0.1, &[0.9, -0.2]);
+        trace.push(0.2, &[0.7, -0.3]);
+        trace
     }
 
     #[test]

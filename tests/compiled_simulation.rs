@@ -16,8 +16,9 @@
 //!
 //! plus a property test over random symbolic fields.
 
-use nncps::barrier::{Budget, ClosedLoopSystem};
+use nncps::barrier::{Budget, ClosedLoopSystem, GeneratorFunction, QueryBuilder};
 use nncps::expr::{Expr, ScalarProgram, Tape};
+use nncps::linalg::{Matrix, Vector};
 use nncps::scenarios::Registry;
 use nncps::sim::{Dynamics, ExprDynamics, FnDynamics, Integrator, Simulator, StepWorkspace, Trace};
 use nncps_bench::paper_system;
@@ -285,4 +286,33 @@ fn simulated_fields_compile_to_a_pinned_number_of_instructions() {
             "{name} program ops"
         );
     }
+}
+
+/// The paper's width-1000 decrease query (5) compiles every DNF clause to
+/// a pinned tape: slot count, forward-sweep steps and fused chain terms.
+/// The steps are what a δ-SAT box sweep dispatches; a change to them (for
+/// instance chain fusion switching off, which keeps every bit and only
+/// costs time) must be re-pinned on purpose.  Fuel and
+/// `instructions_executed` stay counted in slots.
+#[test]
+fn the_width_1000_decrease_clauses_compile_to_a_pinned_schedule() {
+    let system = paper_system(1000);
+    let generator = GeneratorFunction::new(
+        Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]),
+        Vector::from_slice(&[0.1, -0.2]),
+        0.0,
+    );
+    let (query, _) = QueryBuilder::new(&system, 1e-6).compiled_decrease_query(&generator);
+    let shapes: Vec<(usize, usize, usize)> = query
+        .clauses()
+        .iter()
+        .map(|clause| {
+            let tape = clause.tape();
+            (tape.num_slots(), tape.num_steps(), tape.num_chain_terms())
+        })
+        .collect();
+    // The 3,005 constants have no step, and the 3,000 constant-weighted
+    // products of the controller's layers run inside chain steps together
+    // with the sums that read them.
+    assert_eq!(shapes, vec![(9_025, 2_022, 3_000); 4]);
 }
