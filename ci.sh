@@ -3,7 +3,7 @@
 #
 #   ./ci.sh          # full gate: fmt, build, tests, docs, lints, the
 #                    # e2e_bench build + unit tests, scenario-regression,
-#                    # bench smoke + bench-regression
+#                    # example manifests, bench smoke + bench-regression
 #   ./ci.sh quick    # skip the release build, the scenario-regression run,
 #                    # and the bench stages (debug tests + docs + lints)
 #
@@ -63,6 +63,32 @@ if [ "$quick" != "quick" ]; then
     cargo run --release --bin nncps-batch -- --quiet --check SCENARIOS_expected.json
 else
     echo "==> scenario-regression: (skipped in quick mode)"
+fi
+
+# --- example manifests ------------------------------------------------------
+# Verify the checked-in example manifests, not just parse them: every
+# manifest config passes `VerificationConfig::validate` at load, so a
+# validation rule that rejected the repository's own manifests would fail
+# here.  `extra.toml` gates on its three per-scenario expected verdicts
+# (nncps-batch exits nonzero on a mismatch); the family run gates on the
+# 8 certified / 4 inconclusive counts pinned in `families.toml`.
+if [ "$quick" != "quick" ]; then
+    echo "==> example manifests: scenarios/extra.toml + manifest-linear-grid"
+    extra_report="$PWD/target/manifest_extra.json"
+    grid_report="$PWD/target/manifest_grid.json"
+    ./target/release/nncps-batch --manifest scenarios/extra.toml --quiet \
+        --out-deterministic "$extra_report"
+    extra_verdicts=$(grep -c '"verdict"' "$extra_report")
+    [ "$extra_verdicts" -eq 3 ] \
+        || { echo "extra.toml produced $extra_verdicts verdicts, expected 3"; exit 1; }
+    ./target/release/nncps-batch --manifest scenarios/families.toml \
+        --family manifest-linear-grid --quiet --out-deterministic "$grid_report"
+    grid_verdicts=$(grep -c '"verdict"' "$grid_report")
+    [ "$grid_verdicts" -eq 12 ] \
+        || { echo "manifest-linear-grid produced $grid_verdicts verdicts, expected 12"; exit 1; }
+    echo "    example manifests: 3 expected verdicts + 8/4 pinned family counts"
+else
+    echo "==> example manifests: (skipped in quick mode)"
 fi
 
 # --- family-sweep regression -------------------------------------------------

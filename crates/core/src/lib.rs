@@ -78,8 +78,7 @@ pub mod warmstart;
 pub use certificate::BarrierCertificate;
 pub use level_set::{LevelSetResult, LevelSetSelector};
 pub use pipeline::{
-    ConfigError, StageTimings, VerificationConfig, VerificationConfigBuilder, VerificationOutcome,
-    VerificationStats, Verifier,
+    ConfigError, StageTimings, VerificationConfig, VerificationOutcome, VerificationStats,
 };
 pub use queries::QueryBuilder;
 pub use session::{SessionStats, VerificationRequest, VerificationSession};

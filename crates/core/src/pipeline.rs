@@ -78,34 +78,16 @@ pub struct VerificationConfig {
 }
 
 impl VerificationConfig {
-    /// A typed builder that validates the configuration at construction —
-    /// nonsense values (δ ≤ 0, zero seed traces, empty iteration budgets)
-    /// are rejected here instead of surfacing as panics or silent
-    /// non-termination deep inside the solver.
+    /// Validates the configuration: nonsense values (δ ≤ 0, zero seed
+    /// traces, empty iteration budgets) are rejected here instead of
+    /// surfacing as panics or silent non-termination deep inside the solver.
+    /// Entry points that accept externally supplied configurations (the
+    /// scenario manifests) call it before running anything.
     ///
-    /// # Examples
+    /// # Errors
     ///
-    /// ```
-    /// use nncps_barrier::VerificationConfig;
-    ///
-    /// let config = VerificationConfig::builder()
-    ///     .num_seed_traces(8)
-    ///     .sim_duration(5.0)
-    ///     .threads(1)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(config.gamma, 1e-6); // the paper's slack is the default
-    /// assert!(VerificationConfig::builder().delta(0.0).build().is_err());
-    /// ```
-    pub fn builder() -> VerificationConfigBuilder {
-        VerificationConfigBuilder {
-            config: VerificationConfig::default(),
-        }
-    }
-
-    /// Validates an already-assembled configuration (the builder's
-    /// [`build`](VerificationConfigBuilder::build) calls this; entry points
-    /// that accept externally-supplied configurations call it directly).
+    /// Returns a [`ConfigError`] naming the offending field when any value
+    /// is out of range.
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn positive_finite(name: &'static str, value: f64) -> Result<(), ConfigError> {
             if value > 0.0 && value.is_finite() {
@@ -153,7 +135,7 @@ impl VerificationConfig {
     }
 }
 
-/// An invalid [`VerificationConfig`] caught at construction.
+/// An invalid [`VerificationConfig`] caught by [`VerificationConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     message: String,
@@ -166,65 +148,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Builder for [`VerificationConfig`] — see
-/// [`VerificationConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct VerificationConfigBuilder {
-    config: VerificationConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $field(mut self, value: $ty) -> Self {
-                self.config.$field = value;
-                self
-            }
-        )*
-    };
-}
-
-impl VerificationConfigBuilder {
-    builder_setters! {
-        /// Number of random initial states simulated to seed the LP.
-        num_seed_traces: usize,
-        /// Simulation step size.
-        sim_dt: f64,
-        /// Simulation horizon per trace.
-        sim_duration: f64,
-        /// The slack `γ` of the decrease condition.
-        gamma: f64,
-        /// Precision `δ` of the δ-SAT solver.
-        delta: f64,
-        /// Box budget per δ-SAT query.
-        max_smt_boxes: usize,
-        /// Maximum number of candidate-generator iterations.
-        max_candidate_iterations: usize,
-        /// Maximum number of level-set bisection iterations.
-        max_level_iterations: usize,
-        /// Maximum number of samples kept per trace.
-        max_samples_per_trace: usize,
-        /// Seed for the deterministic initial-state RNG.
-        seed: u64,
-        /// LP constraint-generation options.
-        synthesis: SynthesisOptions,
-        /// Worker threads for seed-trace simulation (bit-invisible).
-        threads: usize,
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] naming the offending field when any value
-    /// is out of range.
-    pub fn build(self) -> Result<VerificationConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
 
 impl Default for VerificationConfig {
     // Initializing the inert fields is the only place they are named.
@@ -394,164 +317,160 @@ impl fmt::Display for VerificationOutcome {
     }
 }
 
-/// The simulation-guided barrier-certificate verifier (Figure 1 of the paper).
+/// The pipeline engine: the full procedure of Figure 1 (the
+/// simulation-guided barrier-certificate verifier) over an optional
+/// [`WarmStart`] and under a resource [`Budget`].
 ///
-/// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone)]
-pub struct Verifier {
-    config: VerificationConfig,
-}
+/// This is deliberately *not* public — the one public entry point is
+/// [`VerificationSession::verify`](crate::VerificationSession::verify),
+/// which wraps this engine with the outcome memo, the disk store, and
+/// the memo-safety rules.  The behavioural contracts the session relies
+/// on:
+///
+/// * **Warm ≡ cold, bit for bit.**  With a warm-start handle,
+///   seed-trace bundles and LP candidates are looked up under
+///   structural identity keys before being recomputed; every
+///   reused artifact is bit-identical to recomputation (see the
+///   [`warmstart`](crate::warmstart) module docs), so verdicts,
+///   certificate bits, witnesses, and solver statistics are identical
+///   to `warm == None`.  Only wall-clock timings differ.
+/// * **Cooperative governance.**  Every stage polls the budget at its
+///   loop head — the seed-trace batch, the candidate LP/SMT loop, the
+///   δ-SAT searches themselves, and the level-set bisection — and a
+///   tripped budget degrades the run to
+///   [`VerificationOutcome::Inconclusive`] with the machine-readable
+///   reason in [`VerificationStats::exhaustion`].  A fuel limit is
+///   deterministic (fuel counts tape instructions, and the solver
+///   forces its sequential search path under fuel); deadlines and
+///   cancellation are inherently non-deterministic and are excluded
+///   from pinned report forms.  An untripped budget never changes the
+///   outcome.
+/// * **Memoized bundles are built ungoverned** — a tripped budget can
+///   never publish a truncated trace bundle that a sibling member would
+///   then silently reuse; governance is enforced by polling between
+///   stages on the warm path.
+pub(crate) fn run(
+    cfg: &VerificationConfig,
+    system: &ClosedLoopSystem,
+    warm: Option<&WarmStart>,
+    budget: &Budget,
+) -> VerificationOutcome {
+    let start = Instant::now();
+    let mut stats = VerificationStats::default();
 
-impl Verifier {
-    /// Creates a verifier with the given configuration.
-    pub fn new(config: VerificationConfig) -> Self {
-        Verifier { config }
-    }
+    let spec = system.spec().clone();
+    let simulator = Simulator::new(Integrator::RungeKutta4, cfg.sim_dt, cfg.sim_duration);
+    let solver = DeltaSolver::new(cfg.delta)
+        .with_max_boxes(cfg.max_smt_boxes)
+        .with_budget(budget.clone());
+    let queries = QueryBuilder::new(system, cfg.gamma);
+    let mut synthesizer = CandidateSynthesizer::with_options(spec.clone(), cfg.synthesis);
 
-    /// The configuration in use.
-    pub fn config(&self) -> &VerificationConfig {
-        &self.config
-    }
+    // Identity of everything the simulation bundles depend on: the
+    // dynamics DAG plus the integrator settings.  Computed once per run,
+    // only when a warm-start handle can use it.
+    let domain = spec.domain().clone();
+    let sim_key_base = warm.map(|_| {
+        let mut hasher = StructuralHasher::new();
+        hasher.write_u8(0x20);
+        for component in system.vector_field() {
+            hasher.write_expr(component);
+        }
+        hasher.write_usize(domain.dim());
+        for interval in domain.iter() {
+            hasher.write_f64(interval.lo());
+            hasher.write_f64(interval.hi());
+        }
+        hasher.write_f64(cfg.sim_dt);
+        hasher.write_f64(cfg.sim_duration);
+        hasher.write_usize(cfg.max_samples_per_trace);
+        hasher
+    });
 
-    /// The pipeline engine: the full procedure of Figure 1 over an optional
-    /// [`WarmStart`] and under a resource [`Budget`].
-    ///
-    /// This is deliberately *not* public — the one public entry point is
-    /// [`VerificationSession::verify`](crate::VerificationSession::verify),
-    /// which wraps this engine with the outcome memo, the disk store, and
-    /// the memo-safety rules.  The behavioural contracts the session relies
-    /// on:
-    ///
-    /// * **Warm ≡ cold, bit for bit.**  With a warm-start handle,
-    ///   seed-trace bundles and LP candidates are looked up under
-    ///   structural identity keys before being recomputed; every
-    ///   reused artifact is bit-identical to recomputation (see the
-    ///   [`warmstart`](crate::warmstart) module docs), so verdicts,
-    ///   certificate bits, witnesses, and solver statistics are identical
-    ///   to `warm == None`.  Only wall-clock timings differ.
-    /// * **Cooperative governance.**  Every stage polls the budget at its
-    ///   loop head — the seed-trace batch, the candidate LP/SMT loop, the
-    ///   δ-SAT searches themselves, and the level-set bisection — and a
-    ///   tripped budget degrades the run to
-    ///   [`VerificationOutcome::Inconclusive`] with the machine-readable
-    ///   reason in [`VerificationStats::exhaustion`].  A fuel limit is
-    ///   deterministic (fuel counts tape instructions, and the solver
-    ///   forces its sequential search path under fuel); deadlines and
-    ///   cancellation are inherently non-deterministic and are excluded
-    ///   from pinned report forms.  An untripped budget never changes the
-    ///   outcome.
-    /// * **Memoized bundles are built ungoverned** — a tripped budget can
-    ///   never publish a truncated trace bundle that a sibling member would
-    ///   then silently reuse; governance is enforced by polling between
-    ///   stages on the warm path.
-    pub(crate) fn run(
-        &self,
-        system: &ClosedLoopSystem,
-        warm: Option<&WarmStart>,
-        budget: &Budget,
-    ) -> VerificationOutcome {
-        let start = Instant::now();
-        let mut stats = VerificationStats::default();
-        let cfg = &self.config;
-
-        let spec = system.spec().clone();
-        let simulator = Simulator::new(Integrator::RungeKutta4, cfg.sim_dt, cfg.sim_duration);
-        let solver = DeltaSolver::new(cfg.delta)
-            .with_max_boxes(cfg.max_smt_boxes)
-            .with_budget(budget.clone());
-        let queries = QueryBuilder::new(system, cfg.gamma);
-        let mut synthesizer = CandidateSynthesizer::with_options(spec.clone(), cfg.synthesis);
-
-        // Identity of everything the simulation bundles depend on: the
-        // dynamics DAG plus the integrator settings.  Computed once per run,
-        // only when a warm-start handle can use it.
-        let domain = spec.domain().clone();
-        let sim_key_base = warm.map(|_| {
-            let mut hasher = StructuralHasher::new();
-            hasher.write_u8(0x20);
-            for component in system.vector_field() {
-                hasher.write_expr(component);
-            }
-            hasher.write_usize(domain.dim());
-            for interval in domain.iter() {
-                hasher.write_f64(interval.lo());
-                hasher.write_f64(interval.hi());
-            }
-            hasher.write_f64(cfg.sim_dt);
-            hasher.write_f64(cfg.sim_duration);
-            hasher.write_usize(cfg.max_samples_per_trace);
-            hasher
-        });
-
-        // --- Seed traces Φs -------------------------------------------------
-        // The initial states are drawn sequentially from the seeded RNG (so
-        // runs stay reproducible), then the embarrassingly parallel batch of
-        // closed-loop simulations fans out over the worker threads.  The
-        // downsampled bundle is a pure function of the warm-start key, so a
-        // sweep computes it once per distinct (dynamics, domain, seed,
-        // integrator) combination.
-        let sim_start = Instant::now();
-        let initial_states: Vec<Vec<f64>> = {
-            let mut rng = seeded_rng(cfg.seed);
-            (0..cfg.num_seed_traces)
-                .map(|_| {
-                    let unit: Vec<f64> = (0..domain.dim()).map(|_| rng.gen::<f64>()).collect();
-                    domain.lerp_point(&unit)
-                })
-                .collect()
-        };
-        let simulate_seed_traces = || {
-            simulator
-                .simulate_until_batch(
-                    system,
-                    &initial_states,
-                    |_, s| !domain.contains_point(s),
-                    cfg.threads,
-                )
-                .iter()
-                .map(|trace| trace.downsampled(cfg.max_samples_per_trace))
-                .collect()
-        };
-        let seed_traces: Arc<Vec<Trace>> = match (warm, &sim_key_base) {
-            (Some(warm), Some(base)) => {
-                // Memoized bundles are built ungoverned (see the method
-                // docs); the budget is polled right after the stage instead.
-                let key = seed_trace_key(base, cfg.seed, cfg.num_seed_traces);
-                warm.traces_or_insert(key, simulate_seed_traces)
-            }
-            _ => {
-                // Cold path: the governed batch stops every in-flight trace
-                // at its next step head once the budget trips.  Untripped,
-                // it is bit-identical to the ungoverned batch.
-                match simulator.simulate_until_batch_governed(
-                    system,
-                    &initial_states,
-                    |_, s| !domain.contains_point(s),
-                    cfg.threads,
-                    budget,
-                ) {
-                    Ok(traces) => Arc::new(
-                        traces
-                            .iter()
-                            .map(|trace| trace.downsampled(cfg.max_samples_per_trace))
-                            .collect(),
-                    ),
-                    Err(reason) => {
-                        stats.timings.simulation += sim_start.elapsed();
-                        stats.timings.total = start.elapsed();
-                        stats.exhaustion = Some(reason);
-                        return VerificationOutcome::Inconclusive {
-                            reason: format!("verification stopped: {reason}"),
-                            stats,
-                        };
-                    }
+    // --- Seed traces Φs -------------------------------------------------
+    // The initial states are drawn sequentially from the seeded RNG (so
+    // runs stay reproducible), then the embarrassingly parallel batch of
+    // closed-loop simulations fans out over the worker threads.  The
+    // downsampled bundle is a pure function of the warm-start key, so a
+    // sweep computes it once per distinct (dynamics, domain, seed,
+    // integrator) combination.
+    let sim_start = Instant::now();
+    let initial_states: Vec<Vec<f64>> = {
+        let mut rng = seeded_rng(cfg.seed);
+        (0..cfg.num_seed_traces)
+            .map(|_| {
+                let unit: Vec<f64> = (0..domain.dim()).map(|_| rng.gen::<f64>()).collect();
+                domain.lerp_point(&unit)
+            })
+            .collect()
+    };
+    let simulate_seed_traces = || {
+        simulator
+            .simulate_until_batch(
+                system,
+                &initial_states,
+                |_, s| !domain.contains_point(s),
+                cfg.threads,
+            )
+            .iter()
+            .map(|trace| trace.downsampled(cfg.max_samples_per_trace))
+            .collect()
+    };
+    let seed_traces: Arc<Vec<Trace>> = match (warm, &sim_key_base) {
+        (Some(warm), Some(base)) => {
+            // Memoized bundles are built ungoverned (see the method
+            // docs); the budget is polled right after the stage instead.
+            let key = seed_trace_key(base, cfg.seed, cfg.num_seed_traces);
+            warm.traces_or_insert(key, simulate_seed_traces)
+        }
+        _ => {
+            // Cold path: the governed batch stops every in-flight trace
+            // at its next step head once the budget trips.  Untripped,
+            // it is bit-identical to the ungoverned batch.
+            match simulator.simulate_until_batch_governed(
+                system,
+                &initial_states,
+                |_, s| !domain.contains_point(s),
+                cfg.threads,
+                budget,
+            ) {
+                Ok(traces) => Arc::new(
+                    traces
+                        .iter()
+                        .map(|trace| trace.downsampled(cfg.max_samples_per_trace))
+                        .collect(),
+                ),
+                Err(reason) => {
+                    stats.timings.simulation += sim_start.elapsed();
+                    stats.timings.total = start.elapsed();
+                    stats.exhaustion = Some(reason);
+                    return VerificationOutcome::Inconclusive {
+                        reason: format!("verification stopped: {reason}"),
+                        stats,
+                    };
                 }
             }
-        };
-        for trace in seed_traces.iter() {
-            synthesizer.add_trace(trace);
         }
-        stats.timings.simulation += sim_start.elapsed();
+    };
+    for trace in seed_traces.iter() {
+        synthesizer.add_trace(trace);
+    }
+    stats.timings.simulation += sim_start.elapsed();
+    if let Some(reason) = budget.check() {
+        stats.timings.total = start.elapsed();
+        stats.exhaustion = Some(reason);
+        return VerificationOutcome::Inconclusive {
+            reason: format!("verification stopped: {reason}"),
+            stats,
+        };
+    }
+
+    // --- Candidate loop: LP + decrease check (5) ------------------------
+    let mut certified_generator = None;
+    for iteration in 1..=cfg.max_candidate_iterations {
+        // Cooperative governance poll at the candidate loop head;
+        // `generator_iterations` still counts only iterations that
+        // actually started.
         if let Some(reason) = budget.check() {
             stats.timings.total = start.elapsed();
             stats.exhaustion = Some(reason);
@@ -560,152 +479,127 @@ impl Verifier {
                 stats,
             };
         }
+        stats.generator_iterations = iteration;
 
-        // --- Candidate loop: LP + decrease check (5) ------------------------
-        let mut certified_generator = None;
-        for iteration in 1..=cfg.max_candidate_iterations {
-            // Cooperative governance poll at the candidate loop head;
-            // `generator_iterations` still counts only iterations that
-            // actually started.
-            if let Some(reason) = budget.check() {
+        // The synthesizer state (options, spec, accumulated rows) fully
+        // determines the LP solution, so a sweep solves each distinct
+        // state once.
+        let lp_start = Instant::now();
+        let candidate = match warm {
+            Some(warm) => {
+                let memo = warm
+                    .candidate_or_insert(synthesizer.fingerprint(), || synthesizer.synthesize());
+                (*memo).clone()
+            }
+            None => synthesizer.synthesize(),
+        };
+        stats.timings.lp += lp_start.elapsed();
+        stats.lp_solves += 1;
+        let candidate = match candidate {
+            Ok(candidate) => candidate,
+            Err(err) => {
                 stats.timings.total = start.elapsed();
-                stats.exhaustion = Some(reason);
                 return VerificationOutcome::Inconclusive {
-                    reason: format!("verification stopped: {reason}"),
+                    reason: format!("candidate synthesis failed: {err}"),
                     stats,
                 };
             }
-            stats.generator_iterations = iteration;
-
-            // The synthesizer state (options, spec, accumulated rows) fully
-            // determines the LP solution, so a sweep solves each distinct
-            // state once.
-            let lp_start = Instant::now();
-            let candidate = match warm {
-                Some(warm) => {
-                    let memo = warm.candidate_or_insert(synthesizer.fingerprint(), || {
-                        synthesizer.synthesize()
-                    });
-                    (*memo).clone()
-                }
-                None => synthesizer.synthesize(),
-            };
-            stats.timings.lp += lp_start.elapsed();
-            stats.lp_solves += 1;
-            let candidate = match candidate {
-                Ok(candidate) => candidate,
-                Err(err) => {
-                    stats.timings.total = start.elapsed();
-                    return VerificationOutcome::Inconclusive {
-                        reason: format!("candidate synthesis failed: {err}"),
-                        stats,
-                    };
-                }
-            };
-
-            // Compile the query to evaluation tapes *before* the timed SMT
-            // section: the solver's branch-and-prune loop then runs on the
-            // pre-lowered clauses without per-solve setup.
-            let (compiled_query, query_domain) = queries.compiled_decrease_query(&candidate);
-            let smt_start = Instant::now();
-            let (result, solve_stats) =
-                solver.solve_compiled_with_stats(&compiled_query, &query_domain);
-            stats.timings.smt_decrease += smt_start.elapsed();
-            stats.smt_decrease_checks += 1;
-            stats.solver.merge(&solve_stats);
-
-            match result {
-                SatResult::Unsat => {
-                    certified_generator = Some(candidate);
-                    break;
-                }
-                SatResult::DeltaSat(witness_box) => {
-                    stats.counterexamples += 1;
-                    let witness = witness_box.midpoint();
-                    stats.counterexample_witnesses.push(witness.clone());
-                    stats
-                        .counterexample_candidates
-                        .push(flatten_generator(&candidate));
-                    // Cut the failing candidate out of the LP feasible set by
-                    // requiring the Lie derivative to decrease at the witness
-                    // (the row is linear in the template coefficients).
-                    let derivative = system.derivative(&witness);
-                    synthesizer.add_counterexample(&witness, &derivative, cfg.gamma.max(1e-9));
-                    // Simulate from the counterexample (Φf) and refine the LP
-                    // with the downstream behaviour as well.
-                    let sim_start = Instant::now();
-                    let simulate_witness_trace = || {
-                        vec![simulator
-                            .simulate_until(system, &witness, |_, s| !domain.contains_point(s))
-                            .downsampled(cfg.max_samples_per_trace)]
-                    };
-                    let witness_traces = match (warm, &sim_key_base) {
-                        (Some(warm), Some(base)) => {
-                            let key = witness_trace_key(base, &witness);
-                            warm.traces_or_insert(key, simulate_witness_trace)
-                        }
-                        _ => Arc::new(simulate_witness_trace()),
-                    };
-                    stats.timings.simulation += sim_start.elapsed();
-                    synthesizer.add_trace(&witness_traces[0]);
-                }
-                SatResult::Unknown(reason) => {
-                    stats.timings.total = start.elapsed();
-                    stats.exhaustion = Some(reason);
-                    return VerificationOutcome::Inconclusive {
-                        reason: format!("decrease check inconclusive: {reason}"),
-                        stats,
-                    };
-                }
-            }
-        }
-
-        let Some(generator) = certified_generator else {
-            stats.timings.total = start.elapsed();
-            return VerificationOutcome::Inconclusive {
-                reason: format!(
-                    "no generator function passed the decrease check within {} iterations",
-                    cfg.max_candidate_iterations
-                ),
-                stats,
-            };
         };
 
-        // --- Level-set selection: queries (6) and (7) ------------------------
-        let level_start = Instant::now();
-        let selector = LevelSetSelector::new(cfg.max_level_iterations);
-        let (level_result, level_stats) =
-            selector.select_with_stats(&generator, &spec, &queries, &solver);
-        stats.solver.merge(&level_stats);
-        stats.timings.level_set = level_start.elapsed();
+        // Compile the query to evaluation tapes *before* the timed SMT
+        // section: the solver's branch-and-prune loop then runs on the
+        // pre-lowered clauses without per-solve setup.
+        let (compiled_query, query_domain) = queries.compiled_decrease_query(&candidate);
+        let smt_start = Instant::now();
+        let (result, solve_stats) =
+            solver.solve_compiled_with_stats(&compiled_query, &query_domain);
+        stats.timings.smt_decrease += smt_start.elapsed();
+        stats.smt_decrease_checks += 1;
+        stats.solver.merge(&solve_stats);
 
-        stats.timings.total = start.elapsed();
-        match level_result {
-            LevelSetResult::Found { level, iterations } => {
-                stats.level_iterations = iterations;
-                VerificationOutcome::Certified {
-                    certificate: BarrierCertificate::new(generator, level),
-                    stats,
-                }
+        match result {
+            SatResult::Unsat => {
+                certified_generator = Some(candidate);
+                break;
             }
-            LevelSetResult::NotFound { reason, iterations } => {
-                stats.level_iterations = iterations;
-                // A budget that tripped during the level search surfaces as
-                // a NotFound; record the machine-readable reason alongside
-                // the prose (an untripped budget leaves this `None`).
-                stats.exhaustion = budget.check();
-                VerificationOutcome::Inconclusive {
-                    reason: format!("level-set selection failed: {reason}"),
+            SatResult::DeltaSat(witness_box) => {
+                stats.counterexamples += 1;
+                let witness = witness_box.midpoint();
+                stats.counterexample_witnesses.push(witness.clone());
+                stats.counterexample_candidates.push(candidate.flattened());
+                // Cut the failing candidate out of the LP feasible set by
+                // requiring the Lie derivative to decrease at the witness
+                // (the row is linear in the template coefficients).
+                let derivative = system.derivative(&witness);
+                synthesizer.add_counterexample(&witness, &derivative, cfg.gamma.max(1e-9));
+                // Simulate from the counterexample (Φf) and refine the LP
+                // with the downstream behaviour as well.
+                let sim_start = Instant::now();
+                let simulate_witness_trace = || {
+                    vec![simulator
+                        .simulate_until(system, &witness, |_, s| !domain.contains_point(s))
+                        .downsampled(cfg.max_samples_per_trace)]
+                };
+                let witness_traces = match (warm, &sim_key_base) {
+                    (Some(warm), Some(base)) => {
+                        let key = witness_trace_key(base, &witness);
+                        warm.traces_or_insert(key, simulate_witness_trace)
+                    }
+                    _ => Arc::new(simulate_witness_trace()),
+                };
+                stats.timings.simulation += sim_start.elapsed();
+                synthesizer.add_trace(&witness_traces[0]);
+            }
+            SatResult::Unknown(reason) => {
+                stats.timings.total = start.elapsed();
+                stats.exhaustion = Some(reason);
+                return VerificationOutcome::Inconclusive {
+                    reason: format!("decrease check inconclusive: {reason}"),
                     stats,
-                }
+                };
             }
         }
     }
-}
 
-impl Default for Verifier {
-    fn default() -> Self {
-        Verifier::new(VerificationConfig::default())
+    let Some(generator) = certified_generator else {
+        stats.timings.total = start.elapsed();
+        return VerificationOutcome::Inconclusive {
+            reason: format!(
+                "no generator function passed the decrease check within {} iterations",
+                cfg.max_candidate_iterations
+            ),
+            stats,
+        };
+    };
+
+    // --- Level-set selection: queries (6) and (7) ------------------------
+    let level_start = Instant::now();
+    let selector = LevelSetSelector::new(cfg.max_level_iterations);
+    let (level_result, level_stats) =
+        selector.select_with_stats(&generator, &spec, &queries, &solver);
+    stats.solver.merge(&level_stats);
+    stats.timings.level_set = level_start.elapsed();
+
+    stats.timings.total = start.elapsed();
+    match level_result {
+        LevelSetResult::Found { level, iterations } => {
+            stats.level_iterations = iterations;
+            VerificationOutcome::Certified {
+                certificate: BarrierCertificate::new(generator, level),
+                stats,
+            }
+        }
+        LevelSetResult::NotFound { reason, iterations } => {
+            stats.level_iterations = iterations;
+            // A budget that tripped during the level search surfaces as
+            // a NotFound; record the machine-readable reason alongside
+            // the prose (an untripped budget leaves this `None`).
+            stats.exhaustion = budget.check();
+            VerificationOutcome::Inconclusive {
+                reason: format!("level-set selection failed: {reason}"),
+                stats,
+            }
+        }
     }
 }
 
@@ -735,23 +629,6 @@ fn witness_trace_key(base: &StructuralHasher, witness: &[f64]) -> Fingerprint {
         hasher.write_f64(x);
     }
     hasher.finish()
-}
-
-/// Flattens a generator function the same way batch reports do: rows of `P`,
-/// then `q`, then `c`.
-fn flatten_generator(generator: &crate::GeneratorFunction) -> Vec<f64> {
-    let n = generator.dim();
-    let mut coefficients = Vec::with_capacity(n * n + n + 1);
-    for i in 0..n {
-        for j in 0..n {
-            coefficients.push(generator.quadratic_part()[(i, j)]);
-        }
-    }
-    for i in 0..n {
-        coefficients.push(generator.linear_part()[i]);
-    }
-    coefficients.push(generator.constant_part());
-    coefficients
 }
 
 #[cfg(test)]
@@ -994,44 +871,33 @@ mod tests {
     }
 
     #[test]
-    fn config_builder_validates_at_construction() {
-        let built = VerificationConfig::builder()
-            .num_seed_traces(8)
-            .seed(99)
-            .build()
-            .unwrap();
-        assert_eq!(built.num_seed_traces, 8);
-        assert_eq!(built.seed, 99);
-        assert!(VerificationConfig::builder().delta(0.0).build().is_err());
-        assert!(VerificationConfig::builder().delta(-1e-4).build().is_err());
-        assert!(VerificationConfig::builder()
-            .num_seed_traces(0)
-            .build()
-            .is_err());
-        assert!(VerificationConfig::builder()
-            .max_candidate_iterations(0)
-            .build()
-            .is_err());
-        assert!(VerificationConfig::builder()
-            .max_samples_per_trace(1)
-            .build()
-            .is_err());
-        assert!(VerificationConfig::builder().sim_dt(0.0).build().is_err());
-        assert!(VerificationConfig::builder()
-            .gamma(f64::NAN)
-            .build()
-            .is_err());
-        let err = VerificationConfig::builder()
-            .delta(0.0)
-            .build()
-            .unwrap_err();
+    fn config_validate_rejects_out_of_range_values() {
+        let config = VerificationConfig {
+            num_seed_traces: 8,
+            seed: 99,
+            ..VerificationConfig::default()
+        };
+        assert_eq!(config.validate(), Ok(()));
+        let invalid = |edit: fn(&mut VerificationConfig)| {
+            let mut config = VerificationConfig::default();
+            edit(&mut config);
+            config.validate()
+        };
+        assert!(invalid(|c| c.delta = 0.0).is_err());
+        assert!(invalid(|c| c.delta = -1e-4).is_err());
+        assert!(invalid(|c| c.num_seed_traces = 0).is_err());
+        assert!(invalid(|c| c.max_candidate_iterations = 0).is_err());
+        assert!(invalid(|c| c.max_samples_per_trace = 1).is_err());
+        assert!(invalid(|c| c.sim_dt = 0.0).is_err());
+        assert!(invalid(|c| c.gamma = f64::NAN).is_err());
+        let err = invalid(|c| c.delta = 0.0).unwrap_err();
         assert!(err.to_string().contains("delta"), "{err}");
     }
 
     #[test]
     fn config_accessors() {
-        let verifier = Verifier::default();
-        assert_eq!(verifier.config().gamma, 1e-6);
-        assert_eq!(verifier.config().num_seed_traces, 20);
+        let config = VerificationConfig::default();
+        assert_eq!(config.gamma, 1e-6);
+        assert_eq!(config.num_seed_traces, 20);
     }
 }

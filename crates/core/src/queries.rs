@@ -89,10 +89,12 @@ impl<'a> QueryBuilder<'a> {
     ///
     /// The Lie derivative of an NN-controlled system repeats every neuron
     /// pre-activation across the chain-rule terms; compiling the query up
-    /// front deduplicates them once, outside the pipeline's timed SMT
-    /// section, and each clause of the decrease query shares one evaluation
-    /// tape, so the timed branch-and-prune section starts with everything
-    /// lowered.
+    /// front deduplicates them within each clause, outside the pipeline's
+    /// timed SMT section, so the timed branch-and-prune section starts with
+    /// everything lowered.  The query's DNF has one clause per face of `X0`
+    /// it must lie outside (four for a rectangle), and each clause compiles
+    /// its own evaluation tape: at controller width 1000 that is four tapes
+    /// of about 9,000 slots each, not one shared tape.
     ///
     /// # Examples
     ///

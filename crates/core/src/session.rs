@@ -1,13 +1,11 @@
 //! The unified request/session verification API.
 //!
-//! Earlier revisions grew a cross-product of `Verifier::verify_*` methods
-//! (plain × warm-start × governed × dynamics source).  This module collapses
-//! them into one path:
+//! Every way of running the pipeline (plain, warm-start, governed) goes
+//! through one path:
 //!
 //! * [`VerificationRequest`] — a builder bundling *what* to verify (a
-//!   [`ClosedLoopSystem`], borrowed or built from any symbolic plant) with
-//!   *how* (a [`VerificationConfig`], a resource [`Budget`], and whether
-//!   session caches may be consulted).
+//!   borrowed [`ClosedLoopSystem`]) with *how* (a [`VerificationConfig`], a
+//!   resource [`Budget`], and whether session caches may be consulted).
 //! * [`VerificationSession`] — owns the caches that outlive a single
 //!   request: the [`WarmStart`] memo layers (seed-trace bundles, LP
 //!   candidates), a whole-outcome memo, and an optional on-disk
@@ -53,7 +51,6 @@
 //! assert_eq!(session.stats().outcome_hits, 1);
 //! ```
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -62,26 +59,25 @@ use std::time::Duration;
 use nncps_deltasat::{Budget, ExhaustionReason, SolverStats};
 use nncps_expr::{Fingerprint, StructuralHasher};
 use nncps_linalg::{Matrix, Vector};
-use nncps_sim::SymbolicDynamics;
 
-use crate::pipeline::{StageTimings, VerificationStats};
+use crate::pipeline::{run, StageTimings, VerificationStats};
 use crate::store::{DiskStore, PayloadReader, PayloadWriter};
 use crate::warmstart::WarmStartStats;
 use crate::{
-    BarrierCertificate, ClosedLoopSystem, GeneratorFunction, SafetySpec, VerificationConfig,
-    VerificationOutcome, Verifier, WarmStart,
+    BarrierCertificate, ClosedLoopSystem, GeneratorFunction, VerificationConfig,
+    VerificationOutcome, WarmStart,
 };
 
 /// One verification problem plus everything governing how it runs.
 ///
 /// Built with [`VerificationRequest::over`] (borrowing a prepared
-/// [`ClosedLoopSystem`]) or [`VerificationRequest::over_dynamics`] (closing
-/// the loop over any symbolic plant), then refined with the builder
-/// methods.  Defaults: [`VerificationConfig::default`], an unlimited
-/// [`Budget`], session caches enabled.
+/// [`ClosedLoopSystem`]; [`ClosedLoopSystem::from_dynamics`] closes the
+/// loop over any symbolic plant), then refined with the builder methods.
+/// Defaults: [`VerificationConfig::default`], an unlimited [`Budget`],
+/// session caches enabled.
 #[derive(Debug, Clone)]
 pub struct VerificationRequest<'a> {
-    system: Cow<'a, ClosedLoopSystem>,
+    system: &'a ClosedLoopSystem,
     config: VerificationConfig,
     budget: Budget,
     reuse: bool,
@@ -91,26 +87,7 @@ impl<'a> VerificationRequest<'a> {
     /// A request over a prepared closed-loop system (borrowed).
     pub fn over(system: &'a ClosedLoopSystem) -> Self {
         VerificationRequest {
-            system: Cow::Borrowed(system),
-            config: VerificationConfig::default(),
-            budget: Budget::unlimited(),
-            reuse: true,
-        }
-    }
-
-    /// A request that closes the loop over any symbolic plant paired with a
-    /// safety specification (the scenario-generic entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plant dimension differs from the specification
-    /// dimension.
-    pub fn over_dynamics<D: SymbolicDynamics>(
-        plant: &D,
-        spec: &SafetySpec,
-    ) -> VerificationRequest<'static> {
-        VerificationRequest {
-            system: Cow::Owned(ClosedLoopSystem::from_dynamics(plant, spec.clone())),
+            system,
             config: VerificationConfig::default(),
             budget: Budget::unlimited(),
             reuse: true,
@@ -140,7 +117,7 @@ impl<'a> VerificationRequest<'a> {
 
     /// The closed-loop system under verification.
     pub fn system(&self) -> &ClosedLoopSystem {
-        &self.system
+        self.system
     }
 
     /// The pipeline configuration.
@@ -316,10 +293,10 @@ impl VerificationSession {
     /// [`VerificationStats::timings`](crate::VerificationStats) reflect
     /// whichever run actually executed).
     pub fn verify(&self, request: &VerificationRequest<'_>) -> VerificationOutcome {
-        let verifier = Verifier::new(request.config().clone());
+        let config = request.config();
         let budget = request.budget();
         if request.is_cold() {
-            return verifier.run(request.system(), None, budget);
+            return run(config, request.system(), None, budget);
         }
         // A deadline or cancellation can trip at a wall-clock-dependent
         // point, and forced exhaustion is fault injection: none of them
@@ -328,7 +305,7 @@ impl VerificationSession {
         // bundles are built ungoverned).
         let memoizable = !budget.has_deadline() && !budget.is_cancelled() && !budget.fuel_forced();
         if !memoizable {
-            return verifier.run(request.system(), Some(&self.warm), budget);
+            return run(config, request.system(), Some(&self.warm), budget);
         }
         let key = request.fingerprint();
         if let Some(found) = self
@@ -353,7 +330,7 @@ impl VerificationSession {
             }
         }
         self.outcome_misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = verifier.run(request.system(), Some(&self.warm), budget);
+        let outcome = run(config, request.system(), Some(&self.warm), budget);
         // Outcomes that stopped for a non-deterministic reason (deadline,
         // cancellation mid-run via a cloned handle, box budgets are fine)
         // must not be replayed to later identical requests.

@@ -122,7 +122,6 @@ pub struct CandidateSynthesizer {
     options: SynthesisOptions,
     /// Accumulated trace- and counterexample-derived rows.
     rows: Vec<Row>,
-    samples_used: usize,
 }
 
 /// One LP row `coefficients·w (+ margin_coeff·t) ⋈ rhs` over the template
@@ -151,18 +150,12 @@ impl CandidateSynthesizer {
             spec,
             options,
             rows: Vec::new(),
-            samples_used: 0,
         }
     }
 
     /// The template whose coefficients are being synthesized.
     pub fn template(&self) -> &QuadraticTemplate {
         &self.template
-    }
-
-    /// Number of trace samples converted into constraints so far.
-    pub fn samples_used(&self) -> usize {
-        self.samples_used
     }
 
     /// Number of LP rows generated from traces so far.
@@ -187,7 +180,6 @@ impl CandidateSynthesizer {
                 rhs: self.options.positivity_margin,
                 margin_coeff: 0.0,
             });
-            self.samples_used += 1;
         }
         for ((_, current), (_, next)) in trace.consecutive_pairs() {
             if !domain.contains_point(current) || !domain.contains_point(next) {
@@ -263,7 +255,6 @@ impl CandidateSynthesizer {
             rhs: self.options.positivity_margin,
             margin_coeff: 0.0,
         });
-        self.samples_used += 1;
     }
 
     /// A 128-bit identity key over *every* input [`synthesize`] reads: the
@@ -426,12 +417,10 @@ mod tests {
     fn synthesizer_accumulates_constraints() {
         let mut synthesizer = CandidateSynthesizer::new(spec());
         assert_eq!(synthesizer.num_constraints(), 0);
-        assert_eq!(synthesizer.samples_used(), 0);
         assert_eq!(synthesizer.template().dim(), 2);
         let traces = stable_traces();
         synthesizer.add_traces(&traces);
         assert!(synthesizer.num_constraints() > 100);
-        assert!(synthesizer.samples_used() > 50);
     }
 
     #[test]
@@ -495,7 +484,6 @@ mod tests {
         trace.push(0.1, &[9.0, 9.0]);
         synthesizer.add_trace(&trace);
         assert_eq!(synthesizer.num_constraints(), 0);
-        assert_eq!(synthesizer.samples_used(), 0);
     }
 
     #[test]
@@ -525,10 +513,11 @@ mod tests {
             lie_after <= -1e-6 + 1e-9,
             "refined candidate still fails at the counterexample: {lie_after}"
         );
-        assert_eq!(synthesizer.samples_used(), {
+        // One decrease row and one positivity row per counterexample.
+        assert_eq!(synthesizer.num_constraints(), {
             let mut baseline = CandidateSynthesizer::new(spec());
             baseline.add_traces(&stable_traces());
-            baseline.samples_used() + 1
+            baseline.num_constraints() + 2
         });
     }
 

@@ -50,7 +50,7 @@ impl QuadraticTemplate {
     }
 
     /// Number of quadratic monomials (upper triangle of `P`).
-    pub fn num_quadratic_terms(&self) -> usize {
+    fn num_quadratic_terms(&self) -> usize {
         self.dim * (self.dim + 1) / 2
     }
 
@@ -136,13 +136,13 @@ impl QuadraticTemplate {
     /// # Panics
     ///
     /// Panics if `i >= self.dim()`.
-    pub fn linear_index(&self, i: usize) -> usize {
+    fn linear_index(&self, i: usize) -> usize {
         assert!(i < self.dim, "linear index out of range");
         self.num_quadratic_terms() + i
     }
 
     /// Index of the constant coefficient.
-    pub fn constant_index(&self) -> usize {
+    fn constant_index(&self) -> usize {
         self.num_coefficients() - 1
     }
 
@@ -222,6 +222,17 @@ impl GeneratorFunction {
         self.c
     }
 
+    /// The coefficients flattened as the rows of `P`, then `q`, then `c` —
+    /// the form batch reports fingerprint and the counterexample trail
+    /// records.
+    pub fn flattened(&self) -> Vec<f64> {
+        let mut coefficients = Vec::with_capacity(self.p.as_slice().len() + self.q.len() + 1);
+        coefficients.extend_from_slice(self.p.as_slice());
+        coefficients.extend_from_slice(self.q.as_slice());
+        coefficients.push(self.c);
+        coefficients
+    }
+
     /// Evaluates `W(x)`.
     ///
     /// # Panics
@@ -282,11 +293,6 @@ impl GeneratorFunction {
     pub fn minimizer(&self) -> Option<Vec<f64>> {
         let rhs = self.q.scaled(-0.5);
         self.p.solve(&rhs).ok().map(Vector::into_vec)
-    }
-
-    /// The global minimum value of `W` (when `P` is positive definite).
-    pub fn minimum_value(&self) -> Option<f64> {
-        self.minimizer().map(|x| self.evaluate(&x))
     }
 
     /// An axis-aligned bounding box of the sublevel set `{x : W(x) ≤ level}`,
@@ -400,7 +406,7 @@ mod tests {
         );
         assert!(w.is_positive_definite(1e-9));
         assert_eq!(w.minimizer().unwrap(), vec![0.0, 0.0]);
-        assert_eq!(w.minimum_value().unwrap(), 0.0);
+        assert_eq!(w.evaluate(&w.minimizer().unwrap()), 0.0);
         let bb = w.sublevel_bounding_box(4.0).unwrap();
         // lambda_min = 1, so the bounding radius is 2 in every direction.
         assert!((bb[0].0 + 2.0).abs() < 1e-9 && (bb[0].1 - 2.0).abs() < 1e-9);
@@ -425,7 +431,7 @@ mod tests {
         let m = w.minimizer().unwrap();
         assert!((m[0] - 1.0).abs() < 1e-9);
         assert!((m[1] + 2.0).abs() < 1e-9);
-        assert!(w.minimum_value().unwrap().abs() < 1e-9);
+        assert!(w.evaluate(&w.minimizer().unwrap()).abs() < 1e-9);
         let bb = w.sublevel_bounding_box(1.0).unwrap();
         assert!(bb[0].0 <= 0.0 && bb[0].1 >= 2.0);
     }

@@ -148,7 +148,6 @@ impl SolverStats {
 pub struct DeltaSolver {
     precision: f64,
     max_boxes: usize,
-    contraction_rounds: usize,
     tree_eval: bool,
     budget: Budget,
 }
@@ -232,7 +231,7 @@ impl DeltaSolver {
     /// Default limit on the number of boxes explored per query.
     pub const DEFAULT_MAX_BOXES: usize = 2_000_000;
 
-    /// Default number of HC4 sweeps applied to each box.
+    /// Number of HC4 sweeps applied to each box.
     pub const DEFAULT_CONTRACTION_ROUNDS: usize = 4;
 
     /// Creates a solver with the given precision `δ`.
@@ -245,7 +244,6 @@ impl DeltaSolver {
         DeltaSolver {
             precision,
             max_boxes: Self::DEFAULT_MAX_BOXES,
-            contraction_rounds: Self::DEFAULT_CONTRACTION_ROUNDS,
             tree_eval: false,
             budget: Budget::unlimited(),
         }
@@ -283,12 +281,6 @@ impl DeltaSolver {
     /// of the same counters, usable e.g. to cancel from another thread).
     pub fn budget(&self) -> &Budget {
         &self.budget
-    }
-
-    /// Sets the number of HC4 contraction sweeps per box.
-    pub fn with_contraction_rounds(mut self, rounds: usize) -> Self {
-        self.contraction_rounds = rounds;
-        self
     }
 
     /// No effect; kept only so the frozen benchmark compiles.  The search is
@@ -401,25 +393,6 @@ impl DeltaSolver {
         }
     }
 
-    /// Decides satisfiability of a single conjunction of constraints.
-    pub fn solve_conjunction(
-        &self,
-        constraints: &[Constraint],
-        domain: &IntervalBox,
-    ) -> (SatResult, SolverStats) {
-        let mut stats = SolverStats {
-            clauses_examined: 1,
-            ..SolverStats::default()
-        };
-        let result = if self.tree_eval {
-            self.solve_clause(&ClauseEngine::Tree(constraints), domain, &mut stats)
-        } else {
-            let compiled = CompiledClause::compile(constraints);
-            self.solve_clause(&ClauseEngine::Compiled(&compiled), domain, &mut stats)
-        };
-        (result, stats)
-    }
-
     /// The depth-first branch-and-prune search of one clause.
     fn solve_clause(
         &self,
@@ -464,7 +437,7 @@ impl DeltaSolver {
         scratch: &mut ClauseScratch,
         region: &mut IntervalBox,
     ) -> BoxOutcome {
-        match engine.propagate(region, self.contraction_rounds, scratch) {
+        match engine.propagate(region, Self::DEFAULT_CONTRACTION_ROUNDS, scratch) {
             ClauseFeasibility::Violated => BoxOutcome::Pruned,
             ClauseFeasibility::Satisfied => BoxOutcome::Sat,
             // δ-termination: the box can no longer be refuted by splitting
@@ -658,7 +631,8 @@ mod tests {
             Constraint::eq(y() - x(), 0.0),
         ];
         let solver = DeltaSolver::new(1e-3);
-        let (result, stats) = solver.solve_conjunction(&constraints, &square_domain(2.0));
+        let (result, stats) =
+            solver.solve_with_stats(&Formula::all_of(constraints), &square_domain(2.0));
         assert!(result.is_delta_sat());
         assert_eq!(stats.clauses_examined, 1);
         let w = result.witness().unwrap();
@@ -787,9 +761,7 @@ mod tests {
 
     #[test]
     fn display_and_accessors() {
-        let solver = DeltaSolver::default()
-            .with_max_boxes(10)
-            .with_contraction_rounds(2);
+        let solver = DeltaSolver::default().with_max_boxes(10);
         assert_eq!(solver.precision(), 1e-3);
         assert_eq!(format!("{}", SatResult::Unsat), "unsat");
         // The Boxes display string is byte-compatible with the pre-governance

@@ -2,7 +2,7 @@
 
 use nncps_expr::Expr;
 use nncps_nn::FeedforwardNetwork;
-use nncps_sim::{Dynamics, ExprDynamics, SymbolicDynamics};
+use nncps_sim::{Dynamics, SymbolicDynamics};
 
 /// The closed-loop error dynamics of Section 4.1.3–4.1.4.
 ///
@@ -124,11 +124,6 @@ impl ErrorDynamics {
         let theta_dot = -u;
         vec![d_dot.simplified(), theta_dot.simplified()]
     }
-
-    /// Wraps the symbolic vector field into simulatable [`ExprDynamics`].
-    pub fn to_expr_dynamics(&self) -> ExprDynamics {
-        ExprDynamics::new(self.symbolic_vector_field())
-    }
 }
 
 impl SymbolicDynamics for ErrorDynamics {
@@ -157,7 +152,7 @@ mod tests {
     use super::*;
     use nncps_cmaes::seeded_rng;
     use nncps_nn::{Activation, FeedforwardNetwork};
-    use nncps_sim::{Integrator, Simulator};
+    use nncps_sim::{ExprDynamics, Integrator, Simulator};
 
     fn random_controller(hidden: usize, seed: u64) -> FeedforwardNetwork {
         let mut rng = seeded_rng(seed);
@@ -209,7 +204,7 @@ mod tests {
     #[test]
     fn expr_dynamics_simulation_matches_numeric_simulation() {
         let dynamics = ErrorDynamics::new(random_controller(5, 4), 1.0);
-        let expr_dynamics = dynamics.to_expr_dynamics();
+        let expr_dynamics = ExprDynamics::new(dynamics.symbolic_vector_field());
         let sim = Simulator::new(Integrator::RungeKutta4, 0.01, 2.0);
         let a = sim.simulate(&dynamics, &[0.5, 0.1]);
         let b = sim.simulate(&expr_dynamics, &[0.5, 0.1]);

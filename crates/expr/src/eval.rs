@@ -54,21 +54,6 @@ impl Expr {
             Node::Powi(a, n) => a.eval_box(region).powi(*n),
         }
     }
-
-    /// Evaluates the gradient of the expression (vector of partial
-    /// derivatives) at the given point using symbolic differentiation.
-    ///
-    /// The returned vector has length `dim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() < dim` or the expression references a variable
-    /// index `>= values.len()`.
-    pub fn eval_gradient(&self, values: &[f64], dim: usize) -> Vec<f64> {
-        (0..dim)
-            .map(|i| self.differentiate(i).eval(values))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +94,7 @@ mod tests {
         let y = Expr::var(1);
         let f = x.clone().sin() * y.clone() + x.clone() * x.clone() * y.clone();
         let point = [0.8, -1.3];
-        let grad = f.eval_gradient(&point, 2);
+        let grad: Vec<f64> = (0..2).map(|k| f.differentiate(k).eval(&point)).collect();
         let h = 1e-6;
         for k in 0..2 {
             let mut plus = point;

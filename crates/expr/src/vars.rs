@@ -20,8 +20,8 @@ use crate::Expr;
 /// let d = vars.var("d_err");
 /// let th = vars.var("theta_err");
 /// assert_eq!(vars.len(), 2);
-/// assert_eq!(vars.index_of("theta_err"), Some(1));
-/// let f = d + th.sin();
+/// assert_eq!(th.as_var(), Some(1));
+/// let f = d + th.clone().sin();
 /// assert_eq!(f.num_vars(), 2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -34,28 +34,6 @@ impl VarSet {
     /// Creates an empty variable set.
     pub fn new() -> Self {
         VarSet::default()
-    }
-
-    /// Creates a variable set from a list of names.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list contains duplicate names.
-    pub fn from_names<I, S>(names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let mut set = VarSet::new();
-        for name in names {
-            let name = name.into();
-            assert!(
-                !set.indices.contains_key(&name),
-                "duplicate variable name: {name}"
-            );
-            set.push(name);
-        }
-        set
     }
 
     fn push(&mut self, name: String) -> usize {
@@ -73,21 +51,6 @@ impl VarSet {
             None => self.push(name.to_string()),
         };
         Expr::var(index)
-    }
-
-    /// Returns the expression for an already-registered variable.
-    pub fn existing_var(&self, name: &str) -> Option<Expr> {
-        self.indices.get(name).map(|&i| Expr::var(i))
-    }
-
-    /// Index of a registered variable name, if present.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.indices.get(name).copied()
-    }
-
-    /// Name of the variable at `index`, if present.
-    pub fn name_of(&self, index: usize) -> Option<&str> {
-        self.names.get(index).map(String::as_str)
     }
 
     /// Number of registered variables.
@@ -141,15 +104,19 @@ mod tests {
         assert!(!vars.is_empty());
     }
 
+    fn xyz() -> VarSet {
+        let mut vars = VarSet::new();
+        for name in ["x", "y", "z"] {
+            let _ = vars.var(name);
+        }
+        vars
+    }
+
     #[test]
     fn lookup_by_name_and_index() {
-        let vars = VarSet::from_names(["x", "y", "z"]);
-        assert_eq!(vars.index_of("y"), Some(1));
-        assert_eq!(vars.index_of("missing"), None);
-        assert_eq!(vars.name_of(2), Some("z"));
-        assert_eq!(vars.name_of(9), None);
-        assert_eq!(vars.existing_var("z").unwrap().as_var(), Some(2));
-        assert!(vars.existing_var("missing").is_none());
+        let mut vars = xyz();
+        assert_eq!(vars.var("y").as_var(), Some(1));
+        assert_eq!(vars.var("z").as_var(), Some(2));
         assert_eq!(vars.names(), &["x", "y", "z"]);
         let collected: Vec<&String> = vars.iter().collect();
         assert_eq!(collected.len(), 3);
@@ -157,16 +124,12 @@ mod tests {
 
     #[test]
     fn display_lists_name_bindings() {
-        let vars = VarSet::from_names(["d_err", "theta_err"]);
+        let mut vars = VarSet::new();
+        let _ = vars.var("d_err");
+        let _ = vars.var("theta_err");
         let s = format!("{vars}");
         assert!(s.contains("x0=d_err"));
         assert!(s.contains("x1=theta_err"));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate variable name")]
-    fn duplicate_names_panic() {
-        let _ = VarSet::from_names(["x", "x"]);
     }
 
     #[test]

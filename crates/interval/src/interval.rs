@@ -87,11 +87,6 @@ impl Interval {
         Interval::new(x, x)
     }
 
-    /// Creates an interval from an unordered pair of bounds.
-    pub fn from_unordered(a: f64, b: f64) -> Self {
-        Interval::new(a.min(b), a.max(b))
-    }
-
     /// Lower bound. For the empty interval this is `+∞`.
     pub fn lo(&self) -> f64 {
         self.lo
@@ -110,11 +105,6 @@ impl Interval {
     /// Returns `true` if the interval is a single point.
     pub fn is_singleton(&self) -> bool {
         self.lo == self.hi
-    }
-
-    /// Returns `true` if both bounds are finite.
-    pub fn is_bounded(&self) -> bool {
-        !self.is_empty() && self.lo.is_finite() && self.hi.is_finite()
     }
 
     /// Width `hi - lo` of the interval; `0` for the empty interval.
@@ -149,15 +139,6 @@ impl Interval {
             0.0
         } else {
             self.lo.abs().max(self.hi.abs())
-        }
-    }
-
-    /// Mignitude: the smallest absolute value contained in the interval.
-    pub fn mignitude(&self) -> f64 {
-        if self.is_empty() || self.contains(0.0) {
-            0.0
-        } else {
-            self.lo.abs().min(self.hi.abs())
         }
     }
 
@@ -576,16 +557,11 @@ mod tests {
         assert_eq!(x.hi(), 2.0);
         assert!(!x.is_empty());
         assert!(!x.is_singleton());
-        assert!(x.is_bounded());
         assert_eq!(x.width(), 1.0);
         assert_eq!(x.midpoint(), 1.5);
         assert!(Interval::new(2.0, 1.0).is_empty());
         assert!(Interval::new(f64::NAN, 1.0).is_empty());
         assert!(Interval::singleton(3.0).is_singleton());
-        assert_eq!(
-            Interval::from_unordered(5.0, -1.0),
-            Interval::new(-1.0, 5.0)
-        );
         assert_eq!(Interval::from(2.5), Interval::singleton(2.5));
         assert_eq!(Interval::default(), Interval::singleton(0.0));
     }
@@ -594,7 +570,7 @@ mod tests {
     fn empty_and_entire_behave() {
         assert!(Interval::EMPTY.is_empty());
         assert_eq!(Interval::EMPTY.width(), 0.0);
-        assert!(!Interval::ENTIRE.is_bounded());
+        assert_eq!(Interval::ENTIRE.width(), f64::INFINITY);
         assert_eq!(Interval::ENTIRE.midpoint(), 0.0);
         assert!((Interval::EMPTY + Interval::new(0.0, 1.0)).is_empty());
         assert!((Interval::EMPTY * Interval::new(0.0, 1.0)).is_empty());
@@ -669,9 +645,6 @@ mod tests {
         assert_eq!(Interval::new(1.0, 2.0).abs(), Interval::new(1.0, 2.0));
         assert_eq!(Interval::new(-3.0, -1.0).abs(), Interval::new(1.0, 3.0));
         assert_eq!(x.magnitude(), 2.0);
-        assert_eq!(x.mignitude(), 0.0);
-        assert_eq!(Interval::new(1.0, 2.0).mignitude(), 1.0);
-        assert_eq!(Interval::new(-3.0, -1.0).mignitude(), 1.0);
         let a = Interval::new(0.0, 5.0);
         let b = Interval::new(2.0, 3.0);
         assert_eq!(a.min(&b), Interval::new(0.0, 3.0));
@@ -769,7 +742,7 @@ mod tests {
     #[test]
     fn tan_detects_poles() {
         let safe = Interval::new(-0.5, 0.5).tan();
-        assert!(safe.is_bounded());
+        assert!(safe.lo().is_finite() && safe.hi().is_finite());
         assert!(safe.contains(0.0));
         let pole = Interval::new(1.0, 2.0).tan(); // contains pi/2
         assert_eq!(pole, Interval::ENTIRE);
@@ -835,7 +808,7 @@ mod tests {
 
     fn finite_interval() -> impl Strategy<Value = (Interval, f64)> {
         (-50.0f64..50.0, -50.0f64..50.0, 0.0f64..1.0).prop_map(|(a, b, t)| {
-            let iv = Interval::from_unordered(a, b);
+            let iv = Interval::new(a.min(b), a.max(b));
             let point = iv.lo() + t * iv.width();
             (iv, point)
         })
@@ -899,7 +872,7 @@ mod tests {
                 let x = if code.is_multiple_of(29) {
                     Interval::EMPTY
                 } else {
-                    Interval::from_unordered(a, b)
+                    Interval::new(a.min(b), a.max(b))
                 };
                 let (fused, generic) = (Interval::point_mul(c, x), Interval::singleton(c) * x);
                 prop_assert_eq!(fused.lo().to_bits(), generic.lo().to_bits());

@@ -71,11 +71,6 @@ impl IntervalBox {
         self.dims.len()
     }
 
-    /// Returns `true` if the box has no dimensions.
-    pub fn is_zero_dimensional(&self) -> bool {
-        self.dims.is_empty()
-    }
-
     /// Returns `true` if any dimension is the empty interval.
     pub fn is_empty(&self) -> bool {
         self.dims.iter().any(Interval::is_empty)
@@ -108,14 +103,6 @@ impl IntervalBox {
             }
         }
         best.map(|(i, _)| i)
-    }
-
-    /// Volume (product of widths). Returns `0` if any dimension is empty.
-    pub fn volume(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.dims.iter().map(Interval::width).product()
     }
 
     /// Center point of the box.
@@ -339,6 +326,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Product of the widths; `0` for an empty box.
+    fn volume(b: &IntervalBox) -> f64 {
+        if b.is_empty() {
+            return 0.0;
+        }
+        b.iter().map(Interval::width).product()
+    }
+
     fn unit_box() -> IntervalBox {
         IntervalBox::from_bounds(&[(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)])
     }
@@ -348,9 +343,8 @@ mod tests {
         let b = unit_box();
         assert_eq!(b.dim(), 3);
         assert!(!b.is_empty());
-        assert!(!b.is_zero_dimensional());
         assert_eq!(b.max_width(), 2.0);
-        assert_eq!(b.volume(), 4.0);
+        assert_eq!(volume(&b), 4.0);
         assert_eq!(b.widest_dimension(), Some(1));
         assert_eq!(b.midpoint(), vec![0.5, 1.0, 0.0]);
         let p = IntervalBox::from_point(&[1.0, 2.0]);
@@ -363,7 +357,7 @@ mod tests {
         let mut b = unit_box();
         b[1] = Interval::EMPTY;
         assert!(b.is_empty());
-        assert_eq!(b.volume(), 0.0);
+        assert_eq!(volume(&b), 0.0);
         assert_eq!(IntervalBox::default().dim(), 0);
     }
 
@@ -483,7 +477,7 @@ mod tests {
         ) {
             let b = IntervalBox::from_bounds(&bounds);
             let (l, r) = b.bisect_widest();
-            prop_assert!((l.volume() + r.volume() - b.volume()).abs() < 1e-6 * b.volume().max(1.0));
+            prop_assert!((volume(&l) + volume(&r) - volume(&b)).abs() < 1e-6 * volume(&b).max(1.0));
         }
     }
 }

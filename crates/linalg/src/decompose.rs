@@ -1,4 +1,4 @@
-//! Matrix decompositions: LU (partial pivoting), Cholesky, and Householder QR.
+//! LU decomposition with partial pivoting.
 
 use crate::{LinalgError, Matrix, Result, Vector};
 
@@ -26,8 +26,6 @@ pub struct LuDecomposition {
     /// Row permutation: row `i` of the factorization corresponds to row
     /// `perm[i]` of the original matrix.
     perm: Vec<usize>,
-    /// Parity of the permutation (`+1.0` or `-1.0`), used for determinants.
-    perm_sign: f64,
 }
 
 impl LuDecomposition {
@@ -48,7 +46,6 @@ impl LuDecomposition {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Find the pivot row.
@@ -71,7 +68,6 @@ impl LuDecomposition {
                     lu[(pivot_row, j)] = tmp;
                 }
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -83,11 +79,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(LuDecomposition { lu, perm })
     }
 
     /// Dimension of the factored matrix.
@@ -128,252 +120,6 @@ impl LuDecomposition {
         }
         Ok(x)
     }
-
-    /// Determinant of the factored matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.perm_sign;
-        for i in 0..self.dim() {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
-}
-
-/// Cholesky decomposition `A = L Lᵀ` of a symmetric positive-definite matrix.
-///
-/// # Examples
-///
-/// ```
-/// use nncps_linalg::{CholeskyDecomposition, Matrix};
-///
-/// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-/// let chol = CholeskyDecomposition::new(&a).expect("a is SPD");
-/// let l = chol.factor();
-/// let recon = l.mat_mul(&l.transpose());
-/// assert!((&recon - &a).norm_frobenius() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CholeskyDecomposition {
-    l: Matrix,
-}
-
-impl CholeskyDecomposition {
-    /// Factorizes the given symmetric positive-definite matrix.
-    ///
-    /// Only the lower triangle of `a` is read; symmetry of the upper triangle
-    /// is assumed rather than verified.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for non-square input and
-    /// [`LinalgError::NotPositiveDefinite`] if a non-positive pivot appears.
-    pub fn new(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Ok(CholeskyDecomposition { l })
-    }
-
-    /// Returns the lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// Consumes the decomposition and returns the factor `L`.
-    pub fn into_factor(self) -> Matrix {
-        self.l
-    }
-
-    /// Solves `A x = b` using the factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b` has the wrong length.
-    pub fn solve(&self, b: &Vector) -> Result<Vector> {
-        let n = self.l.rows();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("vector of length {n}"),
-                found: format!("vector of length {}", b.len()),
-            });
-        }
-        // Solve L y = b.
-        let mut y = Vector::zeros(n);
-        for i in 0..n {
-            let mut acc = b[i];
-            for j in 0..i {
-                acc -= self.l[(i, j)] * y[j];
-            }
-            y[i] = acc / self.l[(i, i)];
-        }
-        // Solve Lᵀ x = y.
-        let mut x = Vector::zeros(n);
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for j in (i + 1)..n {
-                acc -= self.l[(j, i)] * x[j];
-            }
-            x[i] = acc / self.l[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Log-determinant of `A` (twice the sum of the logs of the diagonal of `L`).
-    pub fn log_determinant(&self) -> f64 {
-        2.0 * self.l.diagonal().iter().map(|x| x.ln()).sum::<f64>()
-    }
-}
-
-/// QR decomposition `A = Q R` via Householder reflections.
-///
-/// Works for any `m x n` matrix with `m >= n`; `Q` is `m x m` orthogonal and
-/// `R` is `m x n` upper trapezoidal.
-///
-/// # Examples
-///
-/// ```
-/// use nncps_linalg::{Matrix, QrDecomposition};
-///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-/// let qr = QrDecomposition::new(&a);
-/// let recon = qr.q().mat_mul(qr.r());
-/// assert!((&recon - &a).norm_frobenius() < 1e-10);
-/// ```
-#[derive(Debug, Clone)]
-pub struct QrDecomposition {
-    q: Matrix,
-    r: Matrix,
-}
-
-impl QrDecomposition {
-    /// Factorizes the given matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix has more columns than rows.
-    pub fn new(a: &Matrix) -> Self {
-        let m = a.rows();
-        let n = a.cols();
-        assert!(m >= n, "QR requires rows >= cols, got {m}x{n}");
-        let mut r = a.clone();
-        let mut q = Matrix::identity(m);
-
-        for k in 0..n.min(m.saturating_sub(1)) {
-            // Build the Householder vector for column k.
-            let mut norm = 0.0;
-            for i in k..m {
-                norm += r[(i, k)] * r[(i, k)];
-            }
-            let norm = norm.sqrt();
-            if norm < PIVOT_TOL {
-                continue;
-            }
-            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-            let mut v = Vector::zeros(m);
-            v[k] = r[(k, k)] - alpha;
-            for i in (k + 1)..m {
-                v[i] = r[(i, k)];
-            }
-            let vnorm2 = v.dot(&v);
-            if vnorm2 < PIVOT_TOL * PIVOT_TOL {
-                continue;
-            }
-            // Apply H = I - 2 v vᵀ / (vᵀ v) to R (left) and accumulate into Q.
-            for j in 0..n {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * r[(i, j)];
-                }
-                let scale = 2.0 * dot / vnorm2;
-                for i in k..m {
-                    r[(i, j)] -= scale * v[i];
-                }
-            }
-            for j in 0..m {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * q[(j, i)];
-                }
-                let scale = 2.0 * dot / vnorm2;
-                for i in k..m {
-                    q[(j, i)] -= scale * v[i];
-                }
-            }
-        }
-        // Clean tiny sub-diagonal noise in R.
-        for i in 0..m {
-            for j in 0..n.min(i) {
-                if r[(i, j)].abs() < 1e-14 {
-                    r[(i, j)] = 0.0;
-                }
-            }
-        }
-        QrDecomposition { q, r }
-    }
-
-    /// The orthogonal factor `Q`.
-    pub fn q(&self) -> &Matrix {
-        &self.q
-    }
-
-    /// The upper-trapezoidal factor `R`.
-    pub fn r(&self) -> &Matrix {
-        &self.r
-    }
-
-    /// Solves the least-squares problem `min ||A x - b||` for a full-column-rank `A`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b` has the wrong length
-    /// and [`LinalgError::Singular`] if `R` has a (near-)zero diagonal entry.
-    pub fn solve_least_squares(&self, b: &Vector) -> Result<Vector> {
-        let m = self.q.rows();
-        let n = self.r.cols();
-        if b.len() != m {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("vector of length {m}"),
-                found: format!("vector of length {}", b.len()),
-            });
-        }
-        // y = Qᵀ b
-        let y = self.q.vec_mat(b);
-        // Back-substitute R x = y (top n rows).
-        let mut x = Vector::zeros(n);
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for j in (i + 1)..n {
-                acc -= self.r[(i, j)] * x[j];
-            }
-            let pivot = self.r[(i, i)];
-            if pivot.abs() < PIVOT_TOL {
-                return Err(LinalgError::Singular);
-            }
-            x[i] = acc / pivot;
-        }
-        Ok(x)
-    }
 }
 
 #[cfg(test)]
@@ -389,7 +135,6 @@ mod tests {
         let b = Vector::from_slice(&[5.0, 6.0, 13.0]);
         let x = lu.solve(&b).unwrap();
         assert!((&a.mat_vec(&x) - &b).norm() < 1e-12);
-        assert!((lu.determinant() - a.determinant().unwrap()).abs() < 1e-12);
     }
 
     #[test]
@@ -410,94 +155,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn lu_determinant_tracks_permutation_sign() {
-        // This matrix needs a row swap; determinant is -1 * (product of pivots sign).
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.determinant() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cholesky_reconstructs_and_solves() {
-        let a = Matrix::from_rows(&[&[6.0, 2.0, 1.0], &[2.0, 5.0, 2.0], &[1.0, 2.0, 4.0]]);
-        let chol = CholeskyDecomposition::new(&a).unwrap();
-        let l = chol.factor();
-        let recon = l.mat_mul(&l.transpose());
-        assert!((&recon - &a).norm_frobenius() < 1e-12);
-        let b = Vector::from_slice(&[1.0, 2.0, 3.0]);
-        let x = chol.solve(&b).unwrap();
-        assert!((&a.mat_vec(&x) - &b).norm() < 1e-12);
-        let det = a.determinant().unwrap();
-        assert!((chol.log_determinant() - det.ln()).abs() < 1e-10);
-        let owned = chol.into_factor();
-        assert_eq!(owned.rows(), 3);
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
-        assert_eq!(
-            CholeskyDecomposition::new(&a).unwrap_err(),
-            LinalgError::NotPositiveDefinite
-        );
-        assert!(matches!(
-            CholeskyDecomposition::new(&Matrix::zeros(2, 3)),
-            Err(LinalgError::NotSquare { .. })
-        ));
-    }
-
-    #[test]
-    fn cholesky_solve_rejects_wrong_length() {
-        let a = Matrix::identity(2);
-        let chol = CholeskyDecomposition::new(&a).unwrap();
-        assert!(matches!(
-            chol.solve(&Vector::zeros(3)),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn qr_reconstructs_and_q_is_orthogonal() {
-        let a = Matrix::from_rows(&[&[1.0, -1.0], &[1.0, 4.0], &[1.0, 2.0]]);
-        let qr = QrDecomposition::new(&a);
-        let recon = qr.q().mat_mul(qr.r());
-        assert!((&recon - &a).norm_frobenius() < 1e-10);
-        let qtq = qr.q().transpose().mat_mul(qr.q());
-        assert!((&qtq - &Matrix::identity(3)).norm_frobenius() < 1e-10);
-        // R is upper trapezoidal.
-        for i in 0..3 {
-            for j in 0..2.min(i) {
-                assert!(qr.r()[(i, j)].abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn qr_least_squares_matches_known_fit() {
-        // Fit y = c0 + c1 * t to points (0,1), (1,3), (2,5) — exact line 1 + 2t.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]);
-        let b = Vector::from_slice(&[1.0, 3.0, 5.0]);
-        let qr = QrDecomposition::new(&a);
-        let x = qr.solve_least_squares(&b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-10);
-        assert!((x[1] - 2.0).abs() < 1e-10);
-        assert!(matches!(
-            qr.solve_least_squares(&Vector::zeros(2)),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn qr_detects_rank_deficiency_on_solve() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0], &[1.0, 1.0]]);
-        let qr = QrDecomposition::new(&a);
-        assert!(matches!(
-            qr.solve_least_squares(&Vector::from_slice(&[1.0, 2.0, 3.0])),
-            Err(LinalgError::Singular)
-        ));
-    }
-
     proptest! {
         #[test]
         fn prop_lu_solution_satisfies_system(
@@ -511,25 +168,6 @@ mod tests {
             let b = Vector::from_slice(&rhs);
             let x = LuDecomposition::new(&a).unwrap().solve(&b).unwrap();
             prop_assert!((&a.mat_vec(&x) - &b).norm() < 1e-8);
-        }
-
-        #[test]
-        fn prop_cholesky_reconstruction(vals in proptest::collection::vec(-2.0f64..2.0, 9)) {
-            // Build an SPD matrix as B Bᵀ + I.
-            let b = Matrix::from_row_major(3, 3, vals);
-            let a = &b.mat_mul(&b.transpose()) + &Matrix::identity(3);
-            let l = CholeskyDecomposition::new(&a).unwrap().into_factor();
-            let recon = l.mat_mul(&l.transpose());
-            prop_assert!((&recon - &a).norm_frobenius() < 1e-9);
-        }
-
-        #[test]
-        fn prop_qr_orthogonality(vals in proptest::collection::vec(-5.0f64..5.0, 12)) {
-            let a = Matrix::from_row_major(4, 3, vals);
-            let qr = QrDecomposition::new(&a);
-            let qtq = qr.q().transpose().mat_mul(qr.q());
-            prop_assert!((&qtq - &Matrix::identity(4)).norm_frobenius() < 1e-8);
-            prop_assert!((&qr.q().mat_mul(qr.r()) - &a).norm_frobenius() < 1e-8);
         }
     }
 }

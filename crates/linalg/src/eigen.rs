@@ -27,10 +27,10 @@ pub struct SymmetricEigen {
     eigenvectors: Matrix,
 }
 
-impl SymmetricEigen {
-    /// Default maximum number of Jacobi sweeps.
-    pub const DEFAULT_MAX_SWEEPS: usize = 100;
+/// Maximum number of Jacobi sweeps.
+const MAX_SWEEPS: usize = 100;
 
+impl SymmetricEigen {
     /// Computes the eigendecomposition of a symmetric matrix.
     ///
     /// The input is symmetrized (averaged with its transpose) before the
@@ -40,17 +40,8 @@ impl SymmetricEigen {
     ///
     /// Returns [`LinalgError::NotSquare`] for non-square input and
     /// [`LinalgError::NoConvergence`] if the off-diagonal mass does not drop
-    /// below tolerance within [`Self::DEFAULT_MAX_SWEEPS`] sweeps.
+    /// below tolerance within 100 sweeps.
     pub fn new(a: &Matrix) -> Result<Self> {
-        Self::with_max_sweeps(a, Self::DEFAULT_MAX_SWEEPS)
-    }
-
-    /// Computes the eigendecomposition with an explicit sweep budget.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SymmetricEigen::new`].
-    pub fn with_max_sweeps(a: &Matrix, max_sweeps: usize) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -70,7 +61,7 @@ impl SymmetricEigen {
         }
 
         let tol = 1e-14 * m.norm_frobenius().max(1.0);
-        for _sweep in 0..max_sweeps {
+        for _sweep in 0..MAX_SWEEPS {
             let off = off_diagonal_norm(&m);
             if off <= tol {
                 return Ok(SymmetricEigen {
@@ -126,7 +117,7 @@ impl SymmetricEigen {
             })
         } else {
             Err(LinalgError::NoConvergence {
-                iterations: max_sweeps,
+                iterations: MAX_SWEEPS,
             })
         }
     }
@@ -149,36 +140,9 @@ impl SymmetricEigen {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Largest eigenvalue.
-    pub fn max_eigenvalue(&self) -> f64 {
-        self.eigenvalues
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Returns `true` if all eigenvalues exceed `tol` (positive definiteness).
     pub fn is_positive_definite(&self, tol: f64) -> bool {
         self.min_eigenvalue() > tol
-    }
-
-    /// Reconstructs `A^{1/2} = V Λ^{1/2} Vᵀ`, clamping negative eigenvalues to zero.
-    pub fn sqrt_matrix(&self) -> Matrix {
-        let n = self.eigenvalues.len();
-        let sqrt_diag =
-            Matrix::from_diagonal(&Vector::from_fn(n, |i| self.eigenvalues[i].max(0.0).sqrt()));
-        self.eigenvectors
-            .mat_mul(&sqrt_diag)
-            .mat_mul(&self.eigenvectors.transpose())
-    }
-
-    /// Reconstructs `V f(Λ) Vᵀ` for an arbitrary spectral function `f`.
-    pub fn spectral_map<F: Fn(f64) -> f64>(&self, f: F) -> Matrix {
-        let n = self.eigenvalues.len();
-        let diag = Matrix::from_diagonal(&Vector::from_fn(n, |i| f(self.eigenvalues[i])));
-        self.eigenvectors
-            .mat_mul(&diag)
-            .mat_mul(&self.eigenvectors.transpose())
     }
 }
 
@@ -206,6 +170,13 @@ mod tests {
         v
     }
 
+    /// `V Λ Vᵀ`, the matrix the decomposition claims to factor.
+    fn reconstruct(eig: &SymmetricEigen) -> Matrix {
+        let v = eig.eigenvectors();
+        v.mat_mul(&Matrix::from_diagonal(eig.eigenvalues()))
+            .mat_mul(&v.transpose())
+    }
+
     #[test]
     fn known_2x2_spectrum() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
@@ -215,7 +186,6 @@ mod tests {
         assert!((vals[1] - 3.0).abs() < 1e-10);
         assert!(eig.is_positive_definite(0.0));
         assert!((eig.min_eigenvalue() - 1.0).abs() < 1e-10);
-        assert!((eig.max_eigenvalue() - 3.0).abs() < 1e-10);
     }
 
     #[test]
@@ -242,11 +212,7 @@ mod tests {
     fn reconstruction_matches_original() {
         let a = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 0.2], &[0.5, 0.2, 2.0]]);
         let eig = SymmetricEigen::new(&a).unwrap();
-        let recon = eig.spectral_map(|x| x);
-        assert!((&recon - &a).norm_frobenius() < 1e-10);
-        // sqrt(A) squared = A
-        let s = eig.sqrt_matrix();
-        assert!((&s.mat_mul(&s) - &a).norm_frobenius() < 1e-9);
+        assert!((&reconstruct(&eig) - &a).norm_frobenius() < 1e-10);
     }
 
     #[test]
@@ -309,8 +275,7 @@ mod tests {
             let mut a = Matrix::from_row_major(3, 3, vals);
             a.symmetrize();
             let eig = SymmetricEigen::new(&a).unwrap();
-            let recon = eig.spectral_map(|x| x);
-            prop_assert!((&recon - &a).norm_frobenius() < 1e-8);
+            prop_assert!((&reconstruct(&eig) - &a).norm_frobenius() < 1e-8);
         }
     }
 }

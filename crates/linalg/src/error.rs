@@ -23,9 +23,6 @@ pub enum LinalgError {
     },
     /// A matrix required to be (numerically) invertible is singular.
     Singular,
-    /// Cholesky decomposition was requested for a matrix that is not
-    /// symmetric positive definite.
-    NotPositiveDefinite,
     /// An iterative algorithm failed to converge within its iteration budget.
     NoConvergence {
         /// Number of iterations performed before giving up.
@@ -43,9 +40,6 @@ impl fmt::Display for LinalgError {
                 write!(f, "matrix must be square, got {rows}x{cols}")
             }
             LinalgError::Singular => write!(f, "matrix is singular to working precision"),
-            LinalgError::NotPositiveDefinite => {
-                write!(f, "matrix is not symmetric positive definite")
-            }
             LinalgError::NoConvergence { iterations } => {
                 write!(f, "iteration did not converge after {iterations} sweeps")
             }

@@ -9,9 +9,6 @@
 //!
 //! * [`Vector`] and [`Matrix`] value types with the usual arithmetic,
 //! * LU decomposition with partial pivoting ([`LuDecomposition`]),
-//! * Cholesky decomposition for symmetric positive-definite matrices
-//!   ([`CholeskyDecomposition`]),
-//! * QR decomposition via Householder reflections ([`QrDecomposition`]),
 //! * symmetric eigendecomposition via the cyclic Jacobi method
 //!   ([`SymmetricEigen`]), and
 //! * quadratic-form helpers used by the barrier templates.
@@ -37,7 +34,7 @@ mod error;
 mod matrix;
 mod vector;
 
-pub use decompose::{CholeskyDecomposition, LuDecomposition, QrDecomposition};
+pub use decompose::LuDecomposition;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use matrix::Matrix;

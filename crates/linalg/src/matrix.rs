@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use crate::{LinalgError, LuDecomposition, Result, Vector};
+use crate::{LuDecomposition, Result, Vector};
 
 /// A dense row-major matrix of `f64` values.
 ///
@@ -131,19 +131,6 @@ impl Matrix {
         Vector::from_fn(self.rows, |i| self[(i, col)])
     }
 
-    /// Overwrites the given row with the contents of `values`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of bounds or the length does not match.
-    pub fn set_row(&mut self, row: usize, values: &Vector) {
-        assert!(row < self.rows, "row index out of bounds");
-        assert_eq!(values.len(), self.cols, "row length mismatch");
-        for j in 0..self.cols {
-            self[(row, j)] = values[j];
-        }
-    }
-
     /// Returns the diagonal as a vector (length `min(rows, cols)`).
     pub fn diagonal(&self) -> Vector {
         let n = self.rows.min(self.cols);
@@ -240,29 +227,9 @@ impl Matrix {
         }
     }
 
-    /// Returns `true` if the matrix is symmetric to within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Frobenius norm.
     pub fn norm_frobenius(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute entry.
-    pub fn norm_max(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
     }
 
     /// Returns `true` if every entry is finite.
@@ -277,47 +244,12 @@ impl Matrix {
     /// Returns [`LinalgError::NotSquare`] if the matrix is not square,
     /// [`LinalgError::DimensionMismatch`] if `b` has the wrong length, or
     /// [`LinalgError::Singular`] if the matrix is numerically singular.
+    ///
+    /// [`LinalgError::NotSquare`]: crate::LinalgError::NotSquare
+    /// [`LinalgError::DimensionMismatch`]: crate::LinalgError::DimensionMismatch
+    /// [`LinalgError::Singular`]: crate::LinalgError::Singular
     pub fn solve(&self, b: &Vector) -> Result<Vector> {
         LuDecomposition::new(self)?.solve(b)
-    }
-
-    /// Computes the inverse via LU decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`Matrix::solve`].
-    pub fn inverse(&self) -> Result<Matrix> {
-        let lu = LuDecomposition::new(self)?;
-        let n = self.rows;
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let e = Vector::from_fn(n, |i| if i == j { 1.0 } else { 0.0 });
-            let col = lu.solve(&e)?;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Ok(inv)
-    }
-
-    /// Computes the determinant via LU decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] if the matrix is not square.
-    /// A singular matrix yields `Ok(0.0)` rather than an error.
-    pub fn determinant(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        match LuDecomposition::new(self) {
-            Ok(lu) => Ok(lu.determinant()),
-            Err(LinalgError::Singular) => Ok(0.0),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -393,6 +325,7 @@ impl Mul<f64> for &Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LinalgError;
     use proptest::prelude::*;
 
     fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
@@ -420,9 +353,6 @@ mod tests {
         assert_eq!(m.row(1).as_slice(), &[4.0, 5.0, 6.0]);
         assert_eq!(m.column(2).as_slice(), &[3.0, 6.0]);
         assert_eq!(m.diagonal().as_slice(), &[1.0, 5.0]);
-        let mut m2 = m.clone();
-        m2.set_row(0, &Vector::from_slice(&[7.0, 8.0, 9.0]));
-        assert_eq!(m2.row(0).as_slice(), &[7.0, 8.0, 9.0]);
     }
 
     #[test]
@@ -453,9 +383,7 @@ mod tests {
         let x = Vector::from_slice(&[1.0, 2.0]);
         // x' A x = 2 + 2 + 12 = 16
         assert_eq!(a.quadratic_form(&x), 16.0);
-        assert!(!a.is_symmetric(1e-12));
         a.symmetrize();
-        assert!(a.is_symmetric(1e-12));
         assert_eq!(a[(0, 1)], 0.5);
         assert_eq!(a[(1, 0)], 0.5);
     }
@@ -467,27 +395,19 @@ mod tests {
         let x = a.solve(&b).unwrap();
         let r = &a.mat_vec(&x) - &b;
         assert!(r.norm() < 1e-12);
-        let inv = a.inverse().unwrap();
+        // The inverse, one solve per column of the identity.
+        let inv = Matrix::from_fn(2, 2, |i, j| {
+            a.solve(&Matrix::identity(2).column(j)).unwrap()[i]
+        });
         let eye = a.mat_mul(&inv);
         assert!(approx_eq(eye[(0, 0)], 1.0, 1e-12));
         assert!(approx_eq(eye[(0, 1)], 0.0, 1e-12));
     }
 
     #[test]
-    fn determinant_values() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert!(approx_eq(a.determinant().unwrap(), -2.0, 1e-12));
-        let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(approx_eq(singular.determinant().unwrap(), 0.0, 1e-12));
-        let rect = Matrix::zeros(2, 3);
-        assert!(rect.determinant().is_err());
-    }
-
-    #[test]
     fn norms_and_finiteness() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert_eq!(a.norm_frobenius(), 5.0);
-        assert_eq!(a.norm_max(), 4.0);
         assert!(a.is_finite());
         let mut b = a.clone();
         b[(0, 0)] = f64::NAN;

@@ -85,11 +85,6 @@ impl Vector {
         &self.data
     }
 
-    /// Returns the entries as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Consumes the vector and returns the underlying storage.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
@@ -128,26 +123,9 @@ impl Vector {
         self.dot(self).sqrt()
     }
 
-    /// Maximum absolute entry (L∞ norm). Returns 0 for the empty vector.
-    pub fn norm_inf(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
-    }
-
-    /// Sum of absolute entries (L1 norm).
-    pub fn norm_l1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// Returns a new vector scaled by `factor`.
     pub fn scaled(&self, factor: f64) -> Vector {
         Vector::from_fn(self.len(), |i| self.data[i] * factor)
-    }
-
-    /// Scales this vector in place by `factor`.
-    pub fn scale_mut(&mut self, factor: f64) {
-        for x in &mut self.data {
-            *x *= factor;
-        }
     }
 
     /// Adds `factor * other` to this vector in place (an "axpy" update).
@@ -160,40 +138,6 @@ impl Vector {
         for (x, y) in self.data.iter_mut().zip(other.data.iter()) {
             *x += factor * y;
         }
-    }
-
-    /// Componentwise product (Hadamard product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors have different lengths.
-    pub fn component_mul(&self, other: &Vector) -> Vector {
-        assert_eq!(self.len(), other.len(), "hadamard requires equal lengths");
-        Vector::from_fn(self.len(), |i| self.data[i] * other.data[i])
-    }
-
-    /// Returns the index and value of the maximum entry, or `None` if empty.
-    pub fn argmax(&self) -> Option<(usize, f64)> {
-        self.data
-            .iter()
-            .copied()
-            .enumerate()
-            .fold(None, |best, (i, x)| match best {
-                Some((_, bx)) if bx >= x => best,
-                _ => Some((i, x)),
-            })
-    }
-
-    /// Returns the index and value of the minimum entry, or `None` if empty.
-    pub fn argmin(&self) -> Option<(usize, f64)> {
-        self.data
-            .iter()
-            .copied()
-            .enumerate()
-            .fold(None, |best, (i, x)| match best {
-                Some((_, bx)) if bx <= x => best,
-                _ => Some((i, x)),
-            })
     }
 
     /// Returns `true` if every entry is finite.
@@ -356,8 +300,6 @@ mod tests {
         let a = Vector::from_slice(&[3.0, 4.0]);
         assert_eq!(a.dot(&a), 25.0);
         assert_eq!(a.norm(), 5.0);
-        assert_eq!(a.norm_inf(), 4.0);
-        assert_eq!(a.norm_l1(), 7.0);
         assert_eq!(a.scaled(2.0).as_slice(), &[6.0, 8.0]);
     }
 
@@ -382,16 +324,6 @@ mod tests {
         let b = Vector::from_slice(&[2.0, 3.0]);
         a.axpy(2.0, &b);
         assert_eq!(a.as_slice(), &[5.0, 7.0]);
-        assert_eq!(a.component_mul(&b).as_slice(), &[10.0, 21.0]);
-    }
-
-    #[test]
-    fn argmax_argmin() {
-        let v = Vector::from_slice(&[1.0, -3.0, 2.5, 0.0]);
-        assert_eq!(v.argmax(), Some((2, 2.5)));
-        assert_eq!(v.argmin(), Some((1, -3.0)));
-        assert_eq!(Vector::zeros(0).argmax(), None);
-        assert_eq!(Vector::zeros(0).argmin(), None);
     }
 
     #[test]

@@ -183,20 +183,6 @@ impl LpProblem {
         })
     }
 
-    /// Evaluates the objective at a point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the point length differs from the number of variables.
-    pub fn objective_value(&self, point: &[f64]) -> f64 {
-        assert_eq!(point.len(), self.num_vars, "point length mismatch");
-        self.objective
-            .iter()
-            .zip(point.iter())
-            .map(|(c, x)| c * x)
-            .sum()
-    }
-
     pub(crate) fn objective(&self) -> &[f64] {
         &self.objective
     }
@@ -234,7 +220,6 @@ mod tests {
         lp.add_constraint(&[1.0, 1.0], Comparison::Le, 3.0);
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 1);
-        assert_eq!(lp.objective_value(&[2.0, 1.0]), 1.0);
         assert!(lp.is_feasible(&[1.0, 1.0], 1e-9));
         assert!(!lp.is_feasible(&[4.0, 0.0], 1e-9));
         assert!(!lp.is_feasible(&[1.0], 1e-9));

@@ -89,22 +89,18 @@ impl Activation {
             Activation::Linear => (f64::NEG_INFINITY, f64::INFINITY),
         }
     }
+}
 
-    /// MATLAB-style name of the activation (`tansig`, `logsig`, ...).
-    pub fn matlab_name(self) -> &'static str {
-        match self {
+/// The MATLAB-style name of the activation (`tansig`, `logsig`, ...).
+impl fmt::Display for Activation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             Activation::Tanh => "tansig",
             Activation::Sigmoid => "logsig",
             Activation::Relu => "poslin",
             Activation::HardTanh => "satlins",
             Activation::Linear => "purelin",
-        }
-    }
-}
-
-impl fmt::Display for Activation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.matlab_name())
+        })
     }
 }
 
@@ -217,8 +213,8 @@ mod tests {
         assert_eq!(Activation::Sigmoid.range(), (0.0, 1.0));
         assert_eq!(Activation::Relu.range().0, 0.0);
         assert_eq!(Activation::HardTanh.range(), (-1.0, 1.0));
-        assert_eq!(Activation::Tanh.matlab_name(), "tansig");
-        assert_eq!(Activation::HardTanh.matlab_name(), "satlins");
+        assert_eq!(Activation::Tanh.to_string(), "tansig");
+        assert_eq!(Activation::HardTanh.to_string(), "satlins");
         assert_eq!(format!("{}", Activation::Linear), "purelin");
         assert_eq!(
             "satlins".parse::<Activation>().unwrap(),

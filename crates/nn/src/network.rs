@@ -66,7 +66,7 @@ impl FeedforwardNetwork {
     ///
     /// Panics if consecutive layer dimensions do not match or no layers are
     /// given.
-    pub fn from_layers(input_dim: usize, layers: Vec<Layer>) -> Self {
+    fn from_layers(input_dim: usize, layers: Vec<Layer>) -> Self {
         assert!(!layers.is_empty(), "network needs at least one layer");
         let mut expected = input_dim;
         for (i, layer) in layers.iter().enumerate() {
@@ -94,14 +94,6 @@ impl FeedforwardNetwork {
     /// The layers of the network in evaluation order.
     pub fn layers(&self) -> &[Layer] {
         &self.layers
-    }
-
-    /// Number of neurons in each hidden layer (all layers except the last).
-    pub fn hidden_sizes(&self) -> Vec<usize> {
-        self.layers[..self.layers.len().saturating_sub(1)]
-            .iter()
-            .map(Layer::output_dim)
-            .collect()
     }
 
     /// Total number of trainable parameters.
@@ -180,14 +172,6 @@ impl FeedforwardNetwork {
         let mut copy = self.clone();
         copy.set_params(params);
         copy
-    }
-
-    /// Randomizes all parameters uniformly in `[-scale, scale]`.
-    pub fn randomize<R: Rng + ?Sized>(&mut self, rng: &mut R, scale: f64) {
-        let params: Vec<f64> = (0..self.num_params())
-            .map(|_| rng.gen_range(-scale..=scale))
-            .collect();
-        self.set_params(&params);
     }
 
     /// Returns a copy with every parameter `p` perturbed multiplicatively to
@@ -273,7 +257,10 @@ impl NetworkBuilder {
     /// Panics if no layers were added.
     pub fn build_random<R: Rng + ?Sized>(self, rng: &mut R, scale: f64) -> FeedforwardNetwork {
         let mut network = self.build_zeroed();
-        network.randomize(rng, scale);
+        let params: Vec<f64> = (0..network.num_params())
+            .map(|_| rng.gen_range(-scale..=scale))
+            .collect();
+        network.set_params(&params);
         network
     }
 }
@@ -328,7 +315,7 @@ mod tests {
             assert_eq!(n.num_params(), 4 * nh + 1);
             assert_eq!(n.input_dim(), 2);
             assert_eq!(n.output_dim(), 1);
-            assert_eq!(n.hidden_sizes(), vec![nh]);
+            assert_eq!(n.layers()[0].output_dim(), nh);
         }
     }
 

@@ -1,13 +1,12 @@
-//! A long-lived work-stealing worker pool on `std` threads.
+//! A long-lived worker pool on `std` threads.
 //!
 //! [`parallel_map`](crate::parallel_map) spawns scoped workers per call and
 //! tears them down when the map returns — the right shape for a one-shot
 //! batch, but wrong for a resident service that fields many requests over
 //! its lifetime.  [`WorkerPool`] keeps its workers alive between
-//! submissions: jobs land on per-worker deques (round-robin), each worker
-//! drains its own deque from the front and steals from a sibling's back
-//! when idle, so an uneven submission (one huge family next to a tiny one)
-//! still saturates every worker.
+//! submissions and feeds them from one FIFO queue behind one lock: an idle
+//! worker takes the oldest queued job, so an uneven submission (one huge
+//! family next to a tiny one) still saturates every worker.
 //!
 //! The pool makes **no ordering promises** — completion order is whatever
 //! the scheduler produces.  Deterministic-report callers impose order above
@@ -25,9 +24,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolState {
-    queues: Vec<VecDeque<Job>>,
-    /// Round-robin cursor for [`WorkerPool::spawn`] placements.
-    next_queue: usize,
+    queue: VecDeque<Job>,
     shutdown: bool,
 }
 
@@ -36,8 +33,8 @@ struct PoolShared {
     work_ready: Condvar,
 }
 
-/// A fixed-size pool of long-lived worker threads with per-worker deques
-/// and idle-time stealing (see the [module docs](self)).
+/// A fixed-size pool of long-lived worker threads fed from one FIFO queue
+/// (see the [module docs](self)).
 ///
 /// Dropping the pool shuts it down: queued jobs still run to completion,
 /// then the workers exit and are joined.
@@ -84,16 +81,15 @@ impl WorkerPool {
         };
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
-                queues: (0..threads).map(|_| VecDeque::new()).collect(),
-                next_queue: 0,
+                queue: VecDeque::new(),
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
         });
         let workers = (0..threads)
-            .map(|home| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, home))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         WorkerPool { shared, workers }
@@ -104,32 +100,15 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Enqueues a job.  Jobs are placed round-robin across the per-worker
-    /// deques; an idle worker steals from its siblings, so placement only
-    /// affects locality, never whether a job runs.
+    /// Appends a job to the queue; the next idle worker runs it.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        let mut state = self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let slot = state.next_queue;
-        state.next_queue = (slot + 1) % state.queues.len();
-        state.queues[slot].push_back(Box::new(job));
-        drop(state);
-        self.shared.work_ready.notify_one();
-    }
-
-    /// Number of jobs currently queued (not yet picked up by a worker).
-    pub fn queued(&self) -> usize {
         self.shared
             .state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .queues
-            .iter()
-            .map(VecDeque::len)
-            .sum()
+            .queue
+            .push_back(Box::new(job));
+        self.shared.work_ready.notify_one();
     }
 }
 
@@ -153,21 +132,12 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(shared: &PoolShared, home: usize) {
+fn worker_loop(shared: &PoolShared) {
     loop {
         let job = {
             let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                // Own deque first (front = submission order), then steal
-                // from the back of a sibling's deque.
-                if let Some(job) = state.queues[home].pop_front() {
-                    break Some(job);
-                }
-                let siblings = state.queues.len();
-                let stolen = (1..siblings)
-                    .map(|offset| (home + offset) % siblings)
-                    .find_map(|victim| state.queues[victim].pop_back());
-                if let Some(job) = stolen {
+                if let Some(job) = state.queue.pop_front() {
                     break Some(job);
                 }
                 if state.shutdown {
@@ -248,33 +218,41 @@ mod tests {
                 });
             }
         }
-        // Drop joined the worker, which drained its deque first.
+        // Drop joined the worker, which drained the queue first.
         assert_eq!(counter.load(Ordering::Relaxed), 32);
     }
 
     #[test]
-    fn stealing_spreads_an_uneven_backlog() {
-        // One slow job occupies the home worker of half the queue; the
-        // other worker must steal the rest or the channel never fills.
+    fn a_slow_job_does_not_block_the_rest_of_the_queue() {
+        // Job 0 holds one worker until the other 19 jobs have reported; if
+        // anything queued behind it waited for that worker, the timeouts
+        // below would fire instead of the test hanging.
         let pool = WorkerPool::new(2);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..20u32 {
-            let tx = tx.clone();
-            pool.spawn(move || {
-                if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }
-                tx.send(i).unwrap();
-            });
+        if pool.threads() < 2 {
+            return; // the `threads` feature is off: one worker, no overlap
         }
-        let received: Vec<u32> = rx.iter().take(20).collect();
-        assert_eq!(received.len(), 20);
+        let timeout = std::time::Duration::from_secs(10);
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (tx, rx) = mpsc::channel();
+        let slow_tx = tx.clone();
+        pool.spawn(move || {
+            let _ = gate_rx.recv_timeout(timeout);
+            slow_tx.send(0).unwrap();
+        });
+        for i in 1..20u32 {
+            let tx = tx.clone();
+            pool.spawn(move || tx.send(i).unwrap());
+        }
+        let mut fast: Vec<u32> = (0..19).map(|_| rx.recv_timeout(timeout).unwrap()).collect();
+        fast.sort_unstable();
+        assert_eq!(fast, (1..20).collect::<Vec<u32>>());
+        gate_tx.send(()).unwrap();
+        assert_eq!(rx.recv_timeout(timeout).unwrap(), 0);
     }
 
     #[test]
     fn zero_resolves_to_available_cores() {
         let pool = WorkerPool::new(0);
         assert!(pool.threads() >= 1);
-        assert_eq!(pool.queued(), 0);
     }
 }

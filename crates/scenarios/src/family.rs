@@ -294,12 +294,6 @@ impl Family {
         self
     }
 
-    /// Sets the per-member expected verdict (builder style).
-    pub fn with_expected(mut self, expected: ExpectedVerdict) -> Self {
-        self.expected = expected;
-        self
-    }
-
     /// Pins the aggregate verdict counts (builder style).
     pub fn with_counts(mut self, certified: usize, inconclusive: usize) -> Self {
         self.expected_counts = Some(ExpectedCounts {
@@ -459,12 +453,7 @@ impl Family {
                 AxisParam::Delta => config.delta = value,
                 AxisParam::Gamma => config.gamma = value,
                 AxisParam::Seed => config.seed = as_count("seed")? as u64,
-                AxisParam::NumSeedTraces => {
-                    config.num_seed_traces = as_count("num_seed_traces")?;
-                    if config.num_seed_traces == 0 {
-                        return Err(in_family("`num_seed_traces` must be positive".to_string()));
-                    }
-                }
+                AxisParam::NumSeedTraces => config.num_seed_traces = as_count("num_seed_traces")?,
                 AxisParam::SimDuration => config.sim_duration = value,
                 AxisParam::WeightPerturbation => {
                     if !plant.has_controller() {
@@ -491,6 +480,7 @@ impl Family {
             }
         }
 
+        config.validate().map_err(|e| in_family(e.to_string()))?;
         for (d, &(lo, hi)) in initial.iter().enumerate() {
             if lo > hi {
                 return Err(in_family(format!(

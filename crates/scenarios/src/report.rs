@@ -95,7 +95,10 @@ impl ScenarioResult {
             }
         };
         let (level, generator_coefficients) = match outcome.certificate() {
-            Some(certificate) => (Some(certificate.level()), flatten_generator(certificate)),
+            Some(certificate) => (
+                Some(certificate.level()),
+                certificate.generator().flattened(),
+            ),
             None => (None, Vec::new()),
         };
         ScenarioResult {
@@ -301,22 +304,6 @@ fn number_array(json: Option<&Json>) -> Result<Vec<f64>, String> {
         .iter()
         .map(|v| v.as_f64().ok_or_else(|| "expected a number".to_string()))
         .collect()
-}
-
-fn flatten_generator(certificate: &nncps_barrier::BarrierCertificate) -> Vec<f64> {
-    let generator = certificate.generator();
-    let n = generator.dim();
-    let mut coefficients = Vec::with_capacity(n * n + n + 1);
-    for i in 0..n {
-        for j in 0..n {
-            coefficients.push(generator.quadratic_part()[(i, j)]);
-        }
-    }
-    for i in 0..n {
-        coefficients.push(generator.linear_part()[i]);
-    }
-    coefficients.push(generator.constant_part());
-    coefficients
 }
 
 impl RunStats {

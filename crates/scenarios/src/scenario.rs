@@ -669,6 +669,9 @@ fn config_from_toml(table: &TomlTable) -> Result<VerificationConfig, ManifestErr
             other => return Err(ManifestError::new(format!("unknown config key `{other}`"))),
         }
     }
+    config
+        .validate()
+        .map_err(|e| ManifestError::new(e.to_string()))?;
     Ok(config)
 }
 

@@ -44,7 +44,9 @@
 //! embedded as a JSON string — is byte-identical to an in-process
 //! [`run_sweep`](crate::run_sweep) over the same families.  Unknown request
 //! fields are ignored (same forward-compatibility stance as the baseline
-//! checker); unknown *ops* are errors.
+//! checker); unknown *ops* are errors.  A `submit`'s optional `fuel` and
+//! `deadline_ms` must be non-negative integers; any other value is an
+//! `error` reply, never a coerced limit.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,7 +88,7 @@ pub struct ServeOptions {
 
 /// The resident verification service: a family catalogue, one shared
 /// [`SweepCache`] (session + optional disk store) that lives for the
-/// server's lifetime, and a long-lived work-stealing [`WorkerPool`].
+/// server's lifetime, and a long-lived single-queue [`WorkerPool`].
 ///
 /// # Examples
 ///
@@ -285,11 +287,16 @@ impl ServeEngine {
             emit(&error_event(&format!("no family named `{selection}`")).to_line());
             return;
         }
-        let fuel = request.get("fuel").and_then(Json::as_f64).map(|x| x as u64);
-        let deadline_ms = request
-            .get("deadline_ms")
-            .and_then(Json::as_f64)
-            .map(|x| x as u64);
+        let (fuel, deadline_ms) = match (
+            governance_limit(request, "fuel"),
+            governance_limit(request, "deadline_ms"),
+        ) {
+            (Ok(fuel), Ok(deadline_ms)) => (fuel, deadline_ms),
+            (Err(message), _) | (_, Err(message)) => {
+                emit(&error_event(&message).to_line());
+                return;
+            }
+        };
         let (scenarios, groups) = match expand_families(&selected) {
             Ok(expanded) => expanded,
             Err(e) => {
@@ -387,6 +394,22 @@ fn member_event(
     }
 }
 
+/// An optional `submit` governance field: absent is `None`; present, it
+/// must be a finite, non-negative integer.  A string, a negative or a
+/// fractional value is refused rather than coerced, so a typo can never
+/// silently run ungoverned or starve every member of fuel.
+fn governance_limit(request: &Json, name: &str) -> Result<Option<u64>, String> {
+    let Some(value) = request.get(name) else {
+        return Ok(None);
+    };
+    match value.as_f64() {
+        Some(x) if x.is_finite() && x >= 0.0 && x.fract() == 0.0 => Ok(Some(x as u64)),
+        _ => Err(format!(
+            "submit field `{name}` must be a non-negative integer, got {value}"
+        )),
+    }
+}
+
 fn error_event(message: &str) -> Json {
     Json::object([
         ("event".to_string(), Json::from("error")),
@@ -457,6 +480,11 @@ mod tests {
             "{\"op\": \"frobnicate\"}",
             "{\"op\": \"submit\"}",
             "{\"op\": \"submit\", \"family\": \"no-such-family\"}",
+            // Governance values are never coerced: a string would run
+            // ungoverned, -5 would become zero fuel, 2.5 would truncate.
+            "{\"op\": \"submit\", \"family\": \"smoke-pair\", \"fuel\": \"100\"}",
+            "{\"op\": \"submit\", \"family\": \"smoke-pair\", \"fuel\": -5}",
+            "{\"op\": \"submit\", \"family\": \"smoke-pair\", \"deadline_ms\": 2.5}",
         ] {
             let (replies, directive) = collect(&engine, bad);
             assert_eq!(directive, Directive::Continue, "{bad}");

@@ -3,7 +3,7 @@
 //! fuzz-ish proptest that round-trips generated manifests.
 
 use nncps_scenarios::toml::{self, TomlValue};
-use nncps_scenarios::{Json, Registry};
+use nncps_scenarios::{families_from_toml_str, Json, Registry};
 use proptest::prelude::*;
 
 // --- TOML edge cases -------------------------------------------------------
@@ -160,6 +160,67 @@ fn manifest_rejects_the_removed_smt_threads_key() {
     // The same manifest without the key loads.
     let accepted = manifest.replace("smt_threads = 4", "threads = 1");
     assert_eq!(Registry::from_toml_str(&accepted).unwrap().len(), 1);
+}
+
+/// A valid linear scenario whose `[scenario.config]` table is `config`.
+fn linear_manifest(config: &str) -> String {
+    format!(
+        r#"
+        [[scenario]]
+        name = "linear-bad-config"
+        expected = "certified"
+        [scenario.plant]
+        kind = "linear"
+        matrix = [[-1.0, 0.2], [-0.2, -1.0]]
+        [scenario.spec]
+        initial_set = [[-0.5, 0.5], [-0.5, 0.5]]
+        safe_region = [[-3.0, 3.0], [-3.0, 3.0]]
+        [scenario.config]
+        {config}
+        "#
+    )
+}
+
+#[test]
+fn manifest_configs_are_validated_at_load() {
+    // Out-of-range values must be a manifest error naming the scenario and
+    // the field, not a panic deep in the solver (unchecked, `delta = 0`
+    // reaches `DeltaSolver::new`'s positivity assert).
+    for (config, field) in [("delta = 0.0", "delta"), ("sim_dt = -1.0", "sim_dt")] {
+        let err = Registry::from_toml_str(&linear_manifest(config)).unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("linear-bad-config"), "{message}");
+        assert!(message.contains(field), "{message}");
+    }
+    assert_eq!(
+        Registry::from_toml_str(&linear_manifest("delta = 1e-3"))
+            .unwrap()
+            .len(),
+        1
+    );
+}
+
+#[test]
+fn family_axis_values_are_validated_per_member() {
+    // A `delta` grid holding 0.0 expands to a member with an invalid
+    // config: expansion fails with the family and member named.
+    let manifest = format!(
+        r#"{}
+        [[family]]
+        name = "zero-delta"
+        base = "linear-bad-config"
+        [[family.axis]]
+        param = "delta"
+        grid = [1e-3, 0.0]
+        "#,
+        linear_manifest("num_seed_traces = 4")
+    );
+    let families = families_from_toml_str(&manifest, &Registry::builtin()).unwrap();
+    assert_eq!(families.len(), 1);
+    assert!(families[0].member(0).is_ok());
+    let err = families[0].expand().unwrap_err().to_string();
+    assert!(err.contains("family `zero-delta`, member 1"), "{err}");
+    assert!(err.contains("delta"), "{err}");
 }
 
 // --- JSON edge cases -------------------------------------------------------

@@ -24,9 +24,8 @@
 //!
 //! With the `parallel` feature (on by default), batches of traces from
 //! different initial states — which are embarrassingly parallel — can be
-//! collected on worker threads via [`Simulator::simulate_batch_threaded`]
-//! and [`Simulator::simulate_until_batch`], built on the order-preserving
-//! [`parallel_map`] helper.
+//! collected on worker threads via [`Simulator::simulate_until_batch`],
+//! built on the order-preserving [`parallel_map`] helper.
 //!
 //! # Examples
 //!

@@ -132,25 +132,6 @@ impl Simulator {
             .collect()
     }
 
-    /// Simulates several initial states on up to `threads` worker threads
-    /// (`0` = one per available core), returning one trace per state in
-    /// input order.
-    ///
-    /// Traces from distinct initial states are independent, so the result is
-    /// identical to [`Simulator::simulate_batch`] for every thread count;
-    /// without the `parallel` feature this runs sequentially.
-    pub fn simulate_batch_threaded<D>(
-        &self,
-        dynamics: &D,
-        initial_states: &[Vec<f64>],
-        threads: usize,
-    ) -> Vec<Trace>
-    where
-        D: Dynamics + Sync + ?Sized,
-    {
-        crate::parallel_map(initial_states, threads, |x0| self.simulate(dynamics, x0))
-    }
-
     /// Batch version of [`Simulator::simulate_until`]: simulates every
     /// initial state with the same early-stopping predicate on up to
     /// `threads` worker threads (`0` = one per available core), preserving
@@ -266,7 +247,7 @@ mod tests {
         let starts: Vec<Vec<f64>> = (0..17).map(|i| vec![i as f64 * 0.3 - 2.0]).collect();
         let sequential = sim.simulate_batch(&decay(), &starts);
         for threads in [0, 1, 4] {
-            let threaded = sim.simulate_batch_threaded(&decay(), &starts, threads);
+            let threaded = sim.simulate_until_batch(&decay(), &starts, |_, _| false, threads);
             assert_eq!(threaded, sequential);
         }
     }

@@ -183,24 +183,6 @@ impl Trace {
         }
         out
     }
-
-    /// Writes the trace as CSV (`time,x0,x1,...`) — used by the figure
-    /// regeneration examples.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time");
-        for i in 0..self.dim {
-            out.push_str(&format!(",x{i}"));
-        }
-        out.push('\n');
-        for (t, s) in self.iter() {
-            out.push_str(&format!("{t}"));
-            for v in s {
-                out.push_str(&format!(",{v}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Trace {
@@ -241,6 +223,7 @@ mod tests {
         assert_eq!(t.states().len(), 3);
         assert_eq!(t.states().nth(2), Some(&[0.7, -0.3][..]));
         assert_eq!(Trace::new(3).duration(), 0.0);
+        assert!(format!("{t}").contains("3 samples"));
     }
 
     #[test]
@@ -262,18 +245,6 @@ mod tests {
         assert_eq!(t.max_abs_component(0), Some(1.0));
         assert_eq!(t.max_abs_component(1), Some(0.3));
         assert_eq!(Trace::new(1).max_abs_component(0), None);
-    }
-
-    #[test]
-    fn csv_round_numbers() {
-        let t = sample_trace();
-        let csv = t.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("time,x0,x1"));
-        assert_eq!(lines.next(), Some("0,1,0"));
-        assert_eq!(csv.lines().count(), 4);
-        let s = format!("{t}");
-        assert!(s.contains("3 samples"));
     }
 
     #[test]

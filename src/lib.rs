@@ -51,8 +51,8 @@ pub use nncps_sim as sim;
 // The one-import facade: the types a typical caller needs, at the root.
 pub use nncps_barrier::{
     BarrierCertificate, Budget, ClosedLoopSystem, ConfigError, DiskStore, ExhaustionReason,
-    SafetySpec, VerificationConfig, VerificationConfigBuilder, VerificationOutcome,
-    VerificationRequest, VerificationSession, Verifier, WarmStart,
+    SafetySpec, VerificationConfig, VerificationOutcome, VerificationRequest, VerificationSession,
+    WarmStart,
 };
 pub use nncps_scenarios::{
     run_batch, run_scenario, run_sweep, BatchOptions, BatchReport, Family, Registry, Scenario,
